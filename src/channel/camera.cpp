@@ -4,6 +4,7 @@
 #include "imgproc/image_ops.hpp"
 #include "imgproc/pool.hpp"
 #include "imgproc/resize.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
@@ -35,6 +36,7 @@ img::Imagef Camera_optics::to_sensor(const img::Imagef& emitted) const
 {
     util::expects(emitted.width() == screen_width_ && emitted.height() == screen_height_,
                   "emitted frame does not match the configured screen size");
+    telemetry::Scoped_span span("camera.optics");
     img::Imagef sensor;
     if (params_.sensor_to_screen) {
         // Perspective path: each sensor pixel samples the screen through

@@ -3,6 +3,8 @@
 #include "imgproc/image_ops.hpp"
 #include "util/contract.hpp"
 
+#include <algorithm>
+
 namespace inframe::channel {
 
 Display_model::Display_model(Display_params params) : params_(params)
@@ -18,30 +20,34 @@ Display_model::Display_model(Display_params params) : params_(params)
 img::Imagef Display_model::emit(const img::Imagef& frame)
 {
     util::expects(!frame.empty(), "display cannot emit an empty frame");
-    img::Imagef target =
+    // affine() hands back pool storage; the pixel response blends into it
+    // in place, so the only per-refresh copy is into previous_emitted_,
+    // whose storage persists across refreshes.
+    img::Imagef out =
         img::affine(frame, static_cast<float>(params_.brightness),
                     static_cast<float>(params_.black_level));
-    img::clamp(target, 0.0f, 255.0f);
+    img::clamp(out, 0.0f, 255.0f);
+    if (params_.response_persistence <= 0.0) return out;
 
-    if (previous_emitted_ && previous_emitted_->same_shape(target)
-        && params_.response_persistence > 0.0) {
-        const auto persistence = static_cast<float>(params_.response_persistence);
-        auto out = target;
-        auto dst = out.values();
-        const auto prev = previous_emitted_->values();
+    const auto persistence = static_cast<float>(params_.response_persistence);
+    auto dst = out.values();
+    if (has_previous_ && previous_emitted_.same_shape(out)) {
+        const auto prev = previous_emitted_.values();
         for (std::size_t i = 0; i < dst.size(); ++i) {
             dst[i] = prev[i] * persistence + dst[i] * (1.0f - persistence);
         }
-        previous_emitted_ = out;
-        return out;
     }
-    previous_emitted_ = target;
-    return target;
+    if (!previous_emitted_.same_shape(out)) {
+        previous_emitted_ = img::Imagef(out.width(), out.height(), out.channels());
+    }
+    std::copy(dst.begin(), dst.end(), previous_emitted_.values().begin());
+    has_previous_ = true;
+    return out;
 }
 
 void Display_model::reset()
 {
-    previous_emitted_.reset();
+    has_previous_ = false;
 }
 
 } // namespace inframe::channel

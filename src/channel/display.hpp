@@ -10,8 +10,6 @@
 
 #include "imgproc/image.hpp"
 
-#include <optional>
-
 namespace inframe::channel {
 
 struct Display_params {
@@ -36,7 +34,8 @@ public:
     explicit Display_model(Display_params params);
 
     // Submits the next logical frame (refresh-rate cadence) and returns
-    // the light field emitted during that refresh interval.
+    // the light field emitted during that refresh interval, in Frame_pool
+    // storage the caller may recycle.
     img::Imagef emit(const img::Imagef& frame);
 
     // Duration of one refresh interval in seconds.
@@ -49,7 +48,12 @@ public:
 
 private:
     Display_params params_;
-    std::optional<img::Imagef> previous_emitted_;
+
+    // Last emitted frame (pixel-response history). Its storage is kept
+    // across refreshes and reset(); has_previous_ says whether it holds
+    // history.
+    img::Imagef previous_emitted_;
+    bool has_previous_ = false;
 };
 
 } // namespace inframe::channel

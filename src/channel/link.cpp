@@ -25,12 +25,34 @@ Screen_camera_link::Screen_camera_link(Display_params display, Camera_params cam
     impairments_ = make_impairment_chain(impairments);
 }
 
+double Screen_camera_link::capture_start(std::int64_t k) const
+{
+    return camera_params_.phase_offset_s + static_cast<double>(k) / camera_params_.fps;
+}
+
+bool Screen_camera_link::observed(double from, double to) const
+{
+    // Row r of capture k integrates over [start_k + skew_r, start_k + skew_r
+    // + exposure) with skew_r in [0, readout_s], so capture k can reach the
+    // frame iff start_k < to and start_k + readout_s + exposure_s > from.
+    // The slack widens that test far beyond the rounding in the per-row
+    // window math of assemble_capture: a frame in doubt is projected.
+    constexpr double slack = 1e-9;
+    const double window = camera_params_.readout_s + camera_params_.exposure_s;
+    // Windows only move later with k, so the first pending capture whose
+    // window has not ended before `from` decides.
+    for (std::int64_t k = capture_index_;; ++k) {
+        const double start = capture_start(k);
+        if (start >= to + slack) return false;
+        if (start + window > from - slack) return true;
+    }
+}
+
 bool Screen_camera_link::capture_complete(double now) const
 {
     // Capture k is complete once the last row's exposure window has ended.
-    const double start =
-        camera_params_.phase_offset_s + static_cast<double>(capture_index_) / camera_params_.fps;
-    const double end = start + camera_params_.readout_s + camera_params_.exposure_s;
+    const double end =
+        capture_start(capture_index_) + camera_params_.readout_s + camera_params_.exposure_s;
     return end <= now + 1e-12;
 }
 
@@ -40,9 +62,25 @@ std::vector<Capture> Screen_camera_link::push_display_frame(const img::Imagef& f
     const double start_time = static_cast<double>(display_index_) * period;
 
     Buffered_frame buffered;
-    buffered.sensor_image = optics_.to_sensor(display_.emit(frame));
     buffered.start_time = start_time;
     buffered.end_time = start_time + period;
+    // The display runs every refresh (its pixel response is stateful); the
+    // optics only for frames some pending capture can see. `emitted` is
+    // freed rather than recycled on purpose: the pipeline's video frames
+    // are heap-allocated and recycled downstream, and returning this
+    // buffer as well would grow Frame_pool by one frame per refresh up to
+    // its cap (30 -> 49 MB peak RSS on a 480x270 carousel).
+    const img::Imagef emitted = display_.emit(frame);
+    if (observed(buffered.start_time, buffered.end_time)) {
+        buffered.sensor_image = optics_.to_sensor(emitted);
+        static const int projected_metric =
+            telemetry::intern_metric("link.frames_projected", telemetry::Metric_kind::counter);
+        telemetry::counter_add(projected_metric);
+    } else {
+        static const int skipped_metric =
+            telemetry::intern_metric("link.frames_skipped", telemetry::Metric_kind::counter);
+        telemetry::counter_add(skipped_metric);
+    }
     buffer_.push_back(std::move(buffered));
     ++display_index_;
 
@@ -76,12 +114,16 @@ std::vector<Capture> Screen_camera_link::push_display_frame(const img::Imagef& f
 Capture Screen_camera_link::assemble_capture()
 {
     telemetry::Scoped_span span("link.capture");
-    const double capture_start =
-        camera_params_.phase_offset_s + static_cast<double>(capture_index_) / camera_params_.fps;
+    const double first_row_start = capture_start(capture_index_);
     const int rows = camera_params_.sensor_height;
     const int cols = camera_params_.sensor_width;
     const double exposure = camera_params_.exposure_s;
-    const int channels = buffer_.empty() ? 1 : buffer_.front().sensor_image.channels();
+    // Skipped frames carry no image, so the layout comes from a projected
+    // one (if none is buffered the coverage check below fails).
+    const auto projected = std::find_if(buffer_.begin(), buffer_.end(), [](const auto& frame) {
+        return !frame.sensor_image.empty();
+    });
+    const int channels = projected == buffer_.end() ? 1 : projected->sensor_image.channels();
 
     img::Imagef integrated = img::Frame_pool::instance().acquire(cols, rows, channels, 0.0f);
     // Rows integrate independently (each owns its exposure window and its
@@ -91,7 +133,7 @@ Capture Screen_camera_link::assemble_capture()
             const int r = static_cast<int>(rr);
             // Row r starts integrating after its share of the readout skew.
             const double row_start =
-                capture_start
+                first_row_start
                 + (rows > 1 ? camera_params_.readout_s * static_cast<double>(r) / (rows - 1)
                             : 0.0);
             const double row_end = row_start + exposure;
@@ -101,6 +143,8 @@ Capture Screen_camera_link::assemble_capture()
                 const double overlap = std::min(frame.end_time, row_end)
                                        - std::max(frame.start_time, row_start);
                 if (overlap <= 0.0) continue;
+                util::ensures(!frame.sensor_image.empty(),
+                              "capture window overlaps a display frame that was not projected");
                 const auto weight = static_cast<float>(overlap / exposure);
                 covered += overlap;
                 const auto src_row = frame.sensor_image.row(r);
@@ -118,7 +162,7 @@ Capture Screen_camera_link::assemble_capture()
     Capture capture;
     capture.image = std::move(integrated);
     capture.index = capture_index_;
-    capture.start_time = capture_start;
+    capture.start_time = first_row_start;
     return capture;
 }
 
@@ -126,11 +170,10 @@ void Screen_camera_link::trim_buffer()
 {
     // Frames that end before the next capture's earliest window can never
     // contribute again.
-    const double next_start =
-        camera_params_.phase_offset_s + static_cast<double>(capture_index_) / camera_params_.fps;
+    const double next_start = capture_start(capture_index_);
     while (!buffer_.empty() && buffer_.front().end_time <= next_start - 1e-12) {
-        // The projected frame can never contribute again; recycle its
-        // storage for the next sensor projection.
+        // The frame can never contribute again; recycle its sensor image
+        // (empty for a skipped frame) for the next projection.
         img::Frame_pool::instance().recycle(std::move(buffer_.front().sensor_image));
         buffer_.pop_front();
     }

@@ -8,6 +8,13 @@
 // display frames differently per row — exactly the distortion the InFrame
 // decoder must tolerate (3.3). Frame-rate mismatch and phase drift come
 // out of the same timing model for free.
+//
+// Optics are lazy: every frame goes through the display model (its pixel
+// response carries state from refresh to refresh), but only frames whose
+// interval overlaps some pending capture's exposure window are projected
+// onto the sensor. The rest stay buffered without a sensor image; no row
+// of any capture integrates them, so captures are bit-identical to
+// projecting every frame (DESIGN.md, "Lazy optics").
 #pragma once
 
 #include "channel/camera.hpp"
@@ -59,11 +66,17 @@ public:
 
 private:
     struct Buffered_frame {
+        // Empty when no capture window overlaps the frame (not projected).
         img::Imagef sensor_image;
         double start_time;
         double end_time;
     };
 
+    // Time the first row of capture k starts integrating.
+    double capture_start(std::int64_t k) const;
+    // Whether the display interval [from, to) may overlap the exposure
+    // window of a capture not yet assembled (conservative).
+    bool observed(double from, double to) const;
     bool capture_complete(double now) const;
     Capture assemble_capture();
     void trim_buffer();

@@ -4,6 +4,7 @@
 #include "simd/simd.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
@@ -73,6 +74,23 @@ void box_blur_vertical_band(const Imagef& src, Imagef& dst, int radius, int y_be
     }
 }
 
+// One output row of a 1-D convolution: out[i] is `acc = 0.0; acc +=
+// kernel[k] * taps[k][i]` over the taps in ascending order, each float
+// product widened into the double sum. That is the per-value sequence of
+// the clamp-to-edge definition; running it tap by tap over the whole row
+// keeps the inner loop contiguous without changing any value's bits.
+void convolve_row(std::span<const float> kernel, const float* const* taps,
+                  std::vector<double>& acc, float* out)
+{
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (std::size_t k = 0; k < kernel.size(); ++k) {
+        const float w = kernel[k];
+        const float* in = taps[k];
+        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += w * in[i];
+    }
+    for (std::size_t i = 0; i < acc.size(); ++i) out[i] = static_cast<float>(acc[i]);
+}
+
 } // namespace
 
 Imagef box_blur(const Imagef& src, int radius_x, int radius_y)
@@ -129,38 +147,45 @@ Imagef separable_convolve(const Imagef& src, std::span<const float> kernel)
     util::expects(kernel.size() % 2 == 1, "separable_convolve kernel size must be odd");
     const int radius = static_cast<int>(kernel.size() / 2);
     const int ch = src.channels();
+    const int width = src.width();
+    const int height = src.height();
+    const auto row_values = static_cast<std::size_t>(width * ch);
 
-    Imagef horizontal = Frame_pool::instance().acquire(src.width(), src.height(), ch);
-    util::parallel_for(0, src.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
+    // Horizontal: each row is first copied into a buffer padded by radius
+    // clamped pixels per side, after which tap k of value i is simply
+    // padded[i + k * ch].
+    Imagef horizontal = Frame_pool::instance().acquire(width, height, ch);
+    util::parallel_for(0, height, row_grain, [&](std::int64_t y0, std::int64_t y1) {
+        std::vector<float> padded(static_cast<std::size_t>((width + 2 * radius) * ch));
+        std::vector<const float*> taps(kernel.size());
+        for (std::size_t k = 0; k < taps.size(); ++k) taps[k] = padded.data() + k * ch;
+        std::vector<double> acc(row_values);
         for (std::int64_t yy = y0; yy < y1; ++yy) {
             const int y = static_cast<int>(yy);
-            for (int x = 0; x < src.width(); ++x) {
-                for (int c = 0; c < ch; ++c) {
-                    double acc = 0.0;
-                    for (int k = -radius; k <= radius; ++k) {
-                        acc += kernel[static_cast<std::size_t>(k + radius)]
-                               * src.at_clamped(x + k, y, c);
-                    }
-                    horizontal(x, y, c) = static_cast<float>(acc);
-                }
+            const float* in = src.row(y).data();
+            const float* last = in + (width - 1) * ch;
+            float* left = padded.data();
+            float* right = std::copy(in, in + row_values, left + radius * ch);
+            for (int j = 0; j < radius * ch; ++j) {
+                left[j] = in[j % ch];
+                right[j] = last[j % ch];
             }
+            convolve_row(kernel, taps.data(), acc, horizontal.row(y).data());
         }
     });
 
-    Imagef out = Frame_pool::instance().acquire(src.width(), src.height(), ch);
-    util::parallel_for(0, src.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
+    // Vertical: clamp-to-edge only picks which row a tap reads.
+    Imagef out = Frame_pool::instance().acquire(width, height, ch);
+    util::parallel_for(0, height, row_grain, [&](std::int64_t y0, std::int64_t y1) {
+        std::vector<const float*> taps(kernel.size());
+        std::vector<double> acc(row_values);
         for (std::int64_t yy = y0; yy < y1; ++yy) {
             const int y = static_cast<int>(yy);
-            for (int x = 0; x < src.width(); ++x) {
-                for (int c = 0; c < ch; ++c) {
-                    double acc = 0.0;
-                    for (int k = -radius; k <= radius; ++k) {
-                        acc += kernel[static_cast<std::size_t>(k + radius)]
-                               * horizontal.at_clamped(x, y + k, c);
-                    }
-                    out(x, y, c) = static_cast<float>(acc);
-                }
+            for (int k = -radius; k <= radius; ++k) {
+                taps[static_cast<std::size_t>(k + radius)] =
+                    horizontal.row(std::clamp(y + k, 0, height - 1)).data();
             }
+            convolve_row(kernel, taps.data(), acc, out.row(y).data());
         }
     });
     Frame_pool::instance().recycle(std::move(horizontal));

@@ -4,7 +4,9 @@
 #include "simd/simd.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -15,31 +17,106 @@ namespace {
 // Rows per parallel chunk; fixed so partitioning is thread-count-invariant.
 constexpr std::int64_t row_grain = 16;
 
-// Per-output-column horizontal sampling plan for resize_bilinear: the
-// clamp/floor/fraction math of sample_bilinear precomputed once per resize
-// instead of once per (pixel, row). Indices are in pixel units (single
-// channel only).
+// Per-output-value horizontal sampling plan for the bilinear paths: the
+// clamp/floor/fraction math of sample_bilinear precomputed once per image
+// instead of once per (pixel, row). Indices are in value units
+// (pixel * channels + c), so interleaved channels share one plan and one
+// bilinear_row call per output row.
 struct Bilinear_columns {
     std::vector<std::int32_t> idx0;
     std::vector<std::int32_t> idx1;
     std::vector<float> tx;
 };
 
-Bilinear_columns plan_bilinear_columns(int src_w, int out_w, float sx)
+// src_x_of(x) is the (unclamped) source column that output column x samples.
+template <typename Src_x>
+Bilinear_columns plan_bilinear_columns(int src_w, int channels, int out_w, Src_x src_x_of)
 {
+    const auto n = static_cast<std::size_t>(out_w) * static_cast<std::size_t>(channels);
     Bilinear_columns plan;
-    plan.idx0.resize(static_cast<std::size_t>(out_w));
-    plan.idx1.resize(static_cast<std::size_t>(out_w));
-    plan.tx.resize(static_cast<std::size_t>(out_w));
+    plan.idx0.resize(n);
+    plan.idx1.resize(n);
+    plan.tx.resize(n);
     for (int x = 0; x < out_w; ++x) {
-        const float src_x = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
-        const float fx = std::clamp(src_x, 0.0f, static_cast<float>(src_w - 1));
+        const float fx = std::clamp(src_x_of(x), 0.0f, static_cast<float>(src_w - 1));
         const int x0 = static_cast<int>(fx);
-        plan.idx0[static_cast<std::size_t>(x)] = x0;
-        plan.idx1[static_cast<std::size_t>(x)] = std::min(x0 + 1, src_w - 1);
-        plan.tx[static_cast<std::size_t>(x)] = fx - static_cast<float>(x0);
+        const int x1 = std::min(x0 + 1, src_w - 1);
+        for (int c = 0; c < channels; ++c) {
+            const auto i = static_cast<std::size_t>(x * channels + c);
+            plan.idx0[i] = x0 * channels + c;
+            plan.idx1[i] = x1 * channels + c;
+            plan.tx[i] = fx - static_cast<float>(x0);
+        }
     }
     return plan;
+}
+
+// Streams every output row through the bilinear_row kernel; src_y_of(y) is
+// the (unclamped) source row output row y samples. The kernel's lerp order
+// matches sample_bilinear exactly (mul/add, no FMA), so the output is
+// bit-identical to sampling each pixel with sample_bilinear.
+template <typename Src_y>
+void bilinear_rows(const Imagef& src, const Bilinear_columns& plan, Imagef& out, Src_y src_y_of)
+{
+    const auto& k = simd::kernels();
+    const int n = static_cast<int>(plan.tx.size());
+    util::parallel_for(0, out.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
+        for (std::int64_t yy = y0; yy < y1; ++yy) {
+            const int y = static_cast<int>(yy);
+            const float fy = std::clamp(src_y_of(y), 0.0f, static_cast<float>(src.height() - 1));
+            const int sy0 = static_cast<int>(fy);
+            const int sy1 = std::min(sy0 + 1, src.height() - 1);
+            const float ty = fy - static_cast<float>(sy0);
+            k.bilinear_row(src.row(sy0).data(), src.row(sy1).data(), plan.idx0.data(),
+                           plan.idx1.data(), plan.tx.data(), ty, out.row(y).data(), n);
+        }
+    });
+}
+
+// resize_area when both ratios are integers (kx, ky): every source pixel
+// lies wholly inside one output pixel, so the generic overlap weights are
+// all exactly 1 and each output value is a plain sum over its kx x ky tile
+// divided by the tile area. The row pass adds tile rows into a double
+// accumulator row in the generic loop's order (source rows outer, columns
+// inner), so the sums, and the output bits, are the generic path's.
+void resize_area_tiles(const Imagef& src, Imagef& out, int kx, int ky)
+{
+    const int ch = src.channels();
+    const int row_values = out.width() * ch;
+    if (kx == 1 && ky == 1) {
+        // 1:1 is a copy up to the generic path's `0.0 + v`, which turns
+        // -0 into +0; adding +0.0f reproduces exactly that.
+        util::parallel_for(0, out.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
+            for (std::int64_t y = y0; y < y1; ++y) {
+                const float* in = src.row(static_cast<int>(y)).data();
+                float* dst = out.row(static_cast<int>(y)).data();
+                for (int i = 0; i < row_values; ++i) dst[i] = in[i] + 0.0f;
+            }
+        });
+        return;
+    }
+    const double area = static_cast<double>(kx) * static_cast<double>(ky);
+    util::parallel_for(0, out.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
+        std::vector<double> acc(static_cast<std::size_t>(row_values));
+        for (std::int64_t yy = y0; yy < y1; ++yy) {
+            const int y = static_cast<int>(yy);
+            std::fill(acc.begin(), acc.end(), 0.0);
+            for (int sy = y * ky; sy < (y + 1) * ky; ++sy) {
+                const float* in = src.row(sy).data();
+                for (int x = 0; x < out.width(); ++x) {
+                    const float* tile = in + static_cast<std::ptrdiff_t>(x) * kx * ch;
+                    double* a = acc.data() + static_cast<std::ptrdiff_t>(x) * ch;
+                    for (int t = 0; t < kx; ++t) {
+                        for (int c = 0; c < ch; ++c) a[c] += tile[t * ch + c];
+                    }
+                }
+            }
+            float* dst = out.row(y).data();
+            for (int i = 0; i < row_values; ++i) {
+                dst[i] = static_cast<float>(acc[static_cast<std::size_t>(i)] / area);
+            }
+        }
+    });
 }
 
 } // namespace
@@ -65,41 +142,11 @@ Imagef resize_bilinear(const Imagef& src, int out_w, int out_h)
     Imagef out = Frame_pool::instance().acquire(out_w, out_h, src.channels());
     const float sx = static_cast<float>(src.width()) / static_cast<float>(out_w);
     const float sy = static_cast<float>(src.height()) / static_cast<float>(out_h);
-    if (src.channels() == 1) {
-        // Single-channel fast path: precompute the horizontal plan once and
-        // stream each output row through the bilinear_row kernel. The
-        // kernel's lerp order matches sample_bilinear exactly (mul/add, no
-        // FMA), so output is bit-identical to the generic path below.
-        const Bilinear_columns plan = plan_bilinear_columns(src.width(), out_w, sx);
-        const auto& k = simd::kernels();
-        util::parallel_for(0, out_h, row_grain, [&](std::int64_t y0, std::int64_t y1) {
-            for (std::int64_t yy = y0; yy < y1; ++yy) {
-                const int y = static_cast<int>(yy);
-                const float src_y = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-                const float fy =
-                    std::clamp(src_y, 0.0f, static_cast<float>(src.height() - 1));
-                const int sy0 = static_cast<int>(fy);
-                const int sy1 = std::min(sy0 + 1, src.height() - 1);
-                const float ty = fy - static_cast<float>(sy0);
-                k.bilinear_row(src.row(sy0).data(), src.row(sy1).data(), plan.idx0.data(),
-                               plan.idx1.data(), plan.tx.data(), ty, out.row(y).data(),
-                               out_w);
-            }
-        });
-        return out;
-    }
-    util::parallel_for(0, out_h, row_grain, [&](std::int64_t y0, std::int64_t y1) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-            const int y = static_cast<int>(yy);
-            const float src_y = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-            for (int x = 0; x < out_w; ++x) {
-                const float src_x = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
-                for (int c = 0; c < src.channels(); ++c) {
-                    out(x, y, c) = sample_bilinear(src, src_x, src_y, c);
-                }
-            }
-        }
-    });
+    const Bilinear_columns plan =
+        plan_bilinear_columns(src.width(), src.channels(), out_w,
+                              [sx](int x) { return (static_cast<float>(x) + 0.5f) * sx - 0.5f; });
+    bilinear_rows(src, plan, out,
+                  [sy](int y) { return (static_cast<float>(y) + 0.5f) * sy - 0.5f; });
     return out;
 }
 
@@ -107,6 +154,10 @@ Imagef resize_area(const Imagef& src, int out_w, int out_h)
 {
     util::expects(out_w > 0 && out_h > 0, "resize_area output must be non-empty");
     Imagef out = Frame_pool::instance().acquire(out_w, out_h, src.channels());
+    if (src.width() % out_w == 0 && src.height() % out_h == 0) {
+        resize_area_tiles(src, out, src.width() / out_w, src.height() / out_h);
+        return out;
+    }
     const double sx = static_cast<double>(src.width()) / out_w;
     const double sy = static_cast<double>(src.height()) / out_h;
     util::parallel_for(0, out_h, row_grain, [&](std::int64_t band_y0, std::int64_t band_y1) {
@@ -146,17 +197,10 @@ Imagef resize_area(const Imagef& src, int out_w, int out_h)
 Imagef translate(const Imagef& src, float dx, float dy)
 {
     Imagef out = Frame_pool::instance().acquire(src.width(), src.height(), src.channels());
-    util::parallel_for(0, src.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-            const int y = static_cast<int>(yy);
-            for (int x = 0; x < src.width(); ++x) {
-                for (int c = 0; c < src.channels(); ++c) {
-                    out(x, y, c) = sample_bilinear(src, static_cast<float>(x) - dx,
-                                                   static_cast<float>(y) - dy, c);
-                }
-            }
-        }
-    });
+    const Bilinear_columns plan =
+        plan_bilinear_columns(src.width(), src.channels(), src.width(),
+                              [dx](int x) { return static_cast<float>(x) - dx; });
+    bilinear_rows(src, plan, out, [dy](int y) { return static_cast<float>(y) - dy; });
     return out;
 }
 

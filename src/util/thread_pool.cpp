@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <exception>
+#include <optional>
 
 namespace inframe::util {
 
@@ -76,12 +77,16 @@ void Thread_pool::worker_loop()
 
 void Thread_pool::run_chunks(Job& job)
 {
+    std::int64_t chunk = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (chunk >= job.chunk_count) return;
     // One span per participation in a job (not per chunk — chunks are too
-    // fine to trace without distorting the timings being measured).
-    telemetry::Scoped_span span("pool.batch");
-    for (;;) {
-        const std::int64_t chunk = job.next.fetch_add(1, std::memory_order_relaxed);
-        if (chunk >= job.chunk_count) return;
+    // fine to trace without distorting the timings being measured). It
+    // closes before this lane reports its last chunk done, so once the
+    // caller of parallel_for sees every chunk done no worker records into
+    // telemetry for this job: a snapshot or uninstall right after the call
+    // cannot race with a late span.
+    std::optional<telemetry::Scoped_span> span(std::in_place, "pool.batch");
+    while (chunk < job.chunk_count) {
         if (!job.failed.load(std::memory_order_acquire)) {
             const std::int64_t b = job.begin + chunk * job.grain;
             const std::int64_t e = std::min<std::int64_t>(job.end, b + job.grain);
@@ -93,6 +98,8 @@ void Thread_pool::run_chunks(Job& job)
                 job.failed.store(true, std::memory_order_release);
             }
         }
+        const std::int64_t next = job.next.fetch_add(1, std::memory_order_relaxed);
+        if (next >= job.chunk_count) span.reset();
         // Every claimed chunk counts as done even when skipped after a
         // failure, so the completion count always reaches chunk_count.
         const std::int64_t finished = job.done.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -102,6 +109,7 @@ void Thread_pool::run_chunks(Job& job)
             std::lock_guard<std::mutex> lock(mutex_);
             done_.notify_all();
         }
+        chunk = next;
     }
 }
 

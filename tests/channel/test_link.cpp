@@ -1,10 +1,17 @@
 #include "channel/link.hpp"
 
 #include "imgproc/image_ops.hpp"
+#include "imgproc/warp.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/contract.hpp"
+#include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 namespace {
@@ -196,6 +203,200 @@ TEST(Link, StreamingMatchesBatch)
         EXPECT_DOUBLE_EQ(inframe::img::mean(streamed[k].image),
                          inframe::img::mean(batch[k].image));
     }
+}
+
+// --- lazy optics ------------------------------------------------------------
+//
+// The link projects only display frames some pending capture can see. The
+// reference below is the eager model written out longhand: every frame is
+// emitted AND projected, and each capture integrates every frame its rows
+// overlap, then takes the sensor electronics and the impairment chain.
+// Captures from the lazy link must match it byte for byte.
+
+struct Eager_frame {
+    Imagef sensor;
+    double start_time;
+    double end_time;
+};
+
+std::vector<Capture> eager_link(const Display_params& display_params,
+                                const Camera_params& camera, const Impairment_config& impairments,
+                                const std::vector<Imagef>& frames)
+{
+    Display_model display(display_params);
+    const Camera_optics optics(camera, frames[0].width(), frames[0].height());
+    Impairment_chain chain = make_impairment_chain(impairments);
+    const double period = display.refresh_period();
+    std::vector<Eager_frame> projected;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        const double start = static_cast<double>(i) * period;
+        projected.push_back({optics.to_sensor(display.emit(frames[i])), start, start + period});
+    }
+    const double stream_end = static_cast<double>(frames.size()) * period;
+    const int rows = camera.sensor_height;
+    std::vector<Capture> captures;
+    for (std::int64_t k = 0;; ++k) {
+        const double start = camera.phase_offset_s + static_cast<double>(k) / camera.fps;
+        if (start + camera.readout_s + camera.exposure_s > stream_end + 1e-12) break;
+        Imagef integrated(camera.sensor_width, rows, projected[0].sensor.channels(), 0.0f);
+        for (int r = 0; r < rows; ++r) {
+            const double row_start =
+                start + (rows > 1 ? camera.readout_s * static_cast<double>(r) / (rows - 1) : 0.0);
+            const double row_end = row_start + camera.exposure_s;
+            auto out_row = integrated.row(r);
+            for (const auto& frame : projected) {
+                const double overlap = std::min(frame.end_time, row_end)
+                                       - std::max(frame.start_time, row_start);
+                if (overlap <= 0.0) continue;
+                const auto weight = static_cast<float>(overlap / camera.exposure_s);
+                const auto src_row = frame.sensor.row(r);
+                for (std::size_t i = 0; i < out_row.size(); ++i) out_row[i] += weight * src_row[i];
+            }
+        }
+        apply_sensor_noise_rows(integrated, camera, k);
+        if (!chain.empty() && chain.apply(integrated, k) == Capture_fate::dropped) continue;
+        captures.push_back({std::move(integrated), k, start});
+    }
+    return captures;
+}
+
+// Every frame differs (and the display carries persistence), so a frame
+// integrated from the wrong source, or a skipped emit, shows in the bits.
+std::vector<Imagef> textured_frames(int count, int width, int height)
+{
+    inframe::util::Prng prng(77);
+    std::vector<Imagef> frames;
+    for (int i = 0; i < count; ++i) {
+        Imagef frame(width, height);
+        for (auto& v : frame.values()) v = static_cast<float>(prng.next_double(16.0, 240.0));
+        frames.push_back(std::move(frame));
+    }
+    return frames;
+}
+
+std::uint64_t counter_value(const inframe::telemetry::Registry& registry, const std::string& name)
+{
+    for (const auto& counter : registry.snapshot().counters) {
+        if (counter.name == name) return counter.value;
+    }
+    return 0;
+}
+
+struct Lazy_case {
+    std::string name;
+    Camera_params camera;
+    Impairment_config impairments;
+};
+
+std::vector<Lazy_case> lazy_cases()
+{
+    // Paper-like camera scaled down: 2:1 area resample, sub-pixel offset,
+    // lens blur, shot + read noise, 8-bit quantization.
+    Camera_params base;
+    base.sensor_width = 32;
+    base.sensor_height = 18;
+    std::vector<Lazy_case> cases;
+    for (const double fps : {29.97, 30.0, 24.0}) {
+        Camera_params c = base;
+        c.fps = fps;
+        cases.push_back({"fps " + std::to_string(fps), c, {}});
+    }
+    for (const double phase : {0.003, 0.0125, 0.0301}) { // up to > 3 refreshes
+        Camera_params c = base;
+        c.phase_offset_s = phase;
+        cases.push_back({"phase " + std::to_string(phase), c, {}});
+    }
+    {
+        Camera_params c = base;
+        c.readout_s = 0.0;
+        c.phase_offset_s = 0.002;
+        cases.push_back({"global shutter", c, {}});
+    }
+    {
+        // A dark scene meters to the longest allowed exposure.
+        Camera_params c = inframe::channel::auto_expose(base, 20.0);
+        EXPECT_DOUBLE_EQ(c.exposure_s, 1.0 / 180.0);
+        cases.push_back({"auto-expose max", c, {}});
+    }
+    {
+        Camera_params c = base;
+        c.sensor_to_screen = inframe::img::Homography::rect_to_quad(
+            32.0, 18.0, {2.0, 1.5, 61.0, 0.5, 62.5, 35.0, 0.5, 33.5});
+        cases.push_back({"perspective", c, {}});
+    }
+    {
+        Impairment_config impairments;
+        impairments.drop_probability = 0.2;
+        impairments.duplicate_probability = 0.2;
+        impairments.gain_drift_amplitude = 0.1;
+        impairments.gain_drift_period = 5.0;
+        impairments.shake_sigma_px = 0.7;
+        impairments.occlusion_fraction = 0.1;
+        impairments.tear_probability = 0.3;
+        impairments.tear_shift_px = 3.0;
+        Camera_params c = base;
+        c.phase_offset_s = 0.011;
+        cases.push_back({"impairments", c, impairments});
+    }
+    return cases;
+}
+
+TEST(LinkLazyOptics, CapturesMatchEagerProjectionBitForBit)
+{
+    const int width = 64;
+    const int height = 36;
+    const auto frames = textured_frames(60, width, height);
+    const Display_params display; // default panel: persistence + black level
+    for (const auto& c : lazy_cases()) {
+        const auto eager = eager_link(display, c.camera, c.impairments, frames);
+        ASSERT_GE(eager.size(), 4u) << c.name;
+        for (const int threads : {1, 4}) {
+            const inframe::util::Parallel_scope scope(threads);
+            const std::string label = c.name + ", threads " + std::to_string(threads);
+            inframe::telemetry::Registry registry;
+            inframe::telemetry::install(&registry);
+            const auto lazy = run_link(display, c.camera, c.impairments, frames);
+            inframe::telemetry::install(nullptr);
+
+            ASSERT_EQ(lazy.size(), eager.size()) << label;
+            for (std::size_t k = 0; k < lazy.size(); ++k) {
+                EXPECT_EQ(lazy[k].index, eager[k].index) << label;
+                EXPECT_EQ(lazy[k].start_time, eager[k].start_time) << label;
+                const auto a = lazy[k].image.values();
+                const auto b = eager[k].image.values();
+                ASSERT_TRUE(lazy[k].image.same_shape(eager[k].image)) << label;
+                EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+                    << label << ", capture " << lazy[k].index;
+            }
+
+            // The sweep must exercise skipping, not just projection.
+            const auto projected = counter_value(registry, "link.frames_projected");
+            const auto skipped = counter_value(registry, "link.frames_skipped");
+            EXPECT_EQ(projected + skipped, frames.size()) << label;
+            EXPECT_GT(skipped, 0u) << label;
+            EXPECT_GT(projected, 0u) << label;
+        }
+    }
+}
+
+TEST(LinkLazyOptics, LongExposureProjectsEveryOverlappedFrame)
+{
+    // Exposure of a whole capture interval leaves no frame unobserved: the
+    // skip predicate must not drop any of them.
+    auto camera = ideal_camera();
+    camera.exposure_s = 1.0 / 30.0;
+    std::vector<Imagef> frames;
+    for (int i = 0; i < 24; ++i) frames.emplace_back(screen_w, screen_h, 1, static_cast<float>(i));
+    inframe::telemetry::Registry registry;
+    inframe::telemetry::install(&registry);
+    const auto captures = run_link(ideal_display(), camera, frames);
+    inframe::telemetry::install(nullptr);
+    ASSERT_EQ(captures.size(), 6u);
+    for (std::size_t k = 0; k < captures.size(); ++k) {
+        EXPECT_NEAR(inframe::img::mean(captures[k].image), 4.0 * k + 1.5, 1e-3);
+    }
+    EXPECT_EQ(counter_value(registry, "link.frames_skipped"), 0u);
+    EXPECT_EQ(counter_value(registry, "link.frames_projected"), frames.size());
 }
 
 TEST(Link, EmptySequenceRejected)

@@ -331,7 +331,7 @@ TEST(TelemetryContract, TracedRunExportsValidArtifacts)
         "video", "encode", "link", "decode", "send", "receive", "produce", "assess",
         // instrumented operations
         "encode.embed", "decode.capture", "decode.finalize", "link.capture",
-        "pool.batch", "sync.estimate",
+        "camera.optics", "pool.batch", "sync.estimate",
         // impairment stages
         "timing", "exposure-drift", "shake", "tear", "occlusion"};
     json::Value trace;
@@ -349,7 +349,7 @@ TEST(TelemetryContract, TracedRunExportsValidArtifacts)
     }
     // The core of the pipeline must actually appear.
     for (const char* expected : {"video", "encode", "link", "decode", "encode.embed",
-                                 "decode.finalize", "link.capture"}) {
+                                 "decode.finalize", "link.capture", "camera.optics"}) {
         EXPECT_TRUE(seen.count(expected)) << "missing span: " << expected;
     }
 
@@ -372,6 +372,8 @@ TEST(TelemetryContract, TracedRunExportsValidArtifacts)
     json::Value metrics;
     ASSERT_TRUE(json::parse(slurp(dir / "metrics.json"), metrics, &error)) << error;
     ASSERT_TRUE(metrics["counters"].is_object());
+    // Lazy optics reports how many display frames it projected.
+    EXPECT_GT(metrics["counters"].number_or("link.frames_projected", 0.0), 0.0);
     ASSERT_TRUE(metrics["histograms"].is_object());
     EXPECT_GE(metrics.number_or("span_count", 0.0), static_cast<double>(events.size()));
     EXPECT_EQ(metrics.number_or("frame_count", -1.0), static_cast<double>(frames));
