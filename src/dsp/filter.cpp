@@ -91,17 +91,22 @@ std::vector<double> Butterworth_lowpass::filter(std::span<const double> signal)
     return out;
 }
 
-Exponential_cascade::Exponential_cascade(double corner_hz, int stages, double sample_rate)
-    : corner_hz_(corner_hz), sample_rate_(sample_rate)
+double exponential_alpha(double corner_hz, double sample_rate)
 {
     util::expects(sample_rate > 0.0, "cascade sample rate must be positive");
     util::expects(corner_hz > 0.0, "cascade corner frequency must be positive");
-    util::expects(stages >= 1, "cascade needs at least one stage");
     // First-order exponential smoothing: alpha = dt / (RC + dt) with
     // RC = 1 / (2 pi fc).
     const double dt = 1.0 / sample_rate;
     const double rc = 1.0 / (2.0 * std::numbers::pi * corner_hz);
-    alpha_ = dt / (rc + dt);
+    return dt / (rc + dt);
+}
+
+Exponential_cascade::Exponential_cascade(double corner_hz, int stages, double sample_rate)
+    : alpha_(exponential_alpha(corner_hz, sample_rate)), corner_hz_(corner_hz),
+      sample_rate_(sample_rate)
+{
+    util::expects(stages >= 1, "cascade needs at least one stage");
     state_.assign(static_cast<std::size_t>(stages), 0.0);
 }
 

@@ -36,6 +36,10 @@ private:
     double x1_ = 0.0, x2_ = 0.0, y1_ = 0.0, y2_ = 0.0;
 };
 
+// Smoothing factor of one first-order exponential low-pass stage,
+// s += alpha * (x - s), with its -3 dB corner at corner_hz.
+double exponential_alpha(double corner_hz, double sample_rate);
+
 // Cascade of N identical first-order exponential low-pass stages: a steep
 // high-frequency rolloff that approximates the human temporal contrast
 // sensitivity cutoff.

@@ -1,6 +1,7 @@
 #include "hvs/flicker.hpp"
 
 #include "imgproc/image_ops.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/contract.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
@@ -39,10 +40,8 @@ struct Pooling_kernel {
         return kernel;
     }
 
-    double sample(const img::Imagef& frame, double cx, double cy) const
+    double sample(const img::Imagef& frame, int ix, int iy) const
     {
-        const int ix = static_cast<int>(std::lround(cx));
-        const int iy = static_cast<int>(std::lround(cy));
         const int size = 2 * radius + 1;
         double acc = 0.0;
         for (int dy = -radius; dy <= radius; ++dy) {
@@ -58,10 +57,41 @@ struct Pooling_kernel {
 struct Site {
     double x = 0.0;
     double y = 0.0;
-    double adapt_luminance = 0.0;
-    double peak_amplitude = 0.0;
-    std::optional<Perceptual_filter> filter;
 };
+
+// Integer centre of a site's pooling aperture.
+struct Tap {
+    int x = 0;
+    int y = 0;
+};
+
+// The luminance plane the assessor pools: a 1-channel frame as it is (no
+// copy), a 3-channel frame converted into `storage`.
+const img::Imagef& luminance_plane(const img::Imagef& frame, img::Imagef& storage)
+{
+    if (frame.channels() == 1) return frame;
+    storage = img::to_gray(frame);
+    return storage;
+}
+
+// Validated before the members that use the options are built.
+Flicker_options checked_options(int width, int height, double fps, const Flicker_options& opts)
+{
+    util::expects(width > 0 && height > 0, "Flicker_assessor frame size must be positive");
+    util::expects(std::isfinite(fps) && fps > 0.0,
+                  "Flicker_assessor fps must be positive and finite");
+    util::expects(opts.max_sites >= 1, "Flicker_assessor needs at least one site");
+    util::expects(opts.warmup_seconds >= 0.0, "warmup must be non-negative");
+    // Also rejects infinities; the bound keeps the size_t conversion defined.
+    util::expects(opts.warmup_seconds * fps < 0x1p64, "warmup must be finite");
+    // The bound keeps the aperture radius (2 sigma_px) within twice the
+    // frame height, and its int conversion defined.
+    util::expects(std::isfinite(opts.pooling_sigma_540) && opts.pooling_sigma_540 <= 540.0,
+                  "pooling sigma must be finite and at most the frame height");
+    util::expects(std::isfinite(opts.gaze_velocity_x) && std::isfinite(opts.gaze_velocity_y),
+                  "gaze velocity must be finite");
+    return opts;
+}
 
 } // namespace
 
@@ -73,20 +103,40 @@ struct Flicker_assessor::Impl {
     Observer observer;
     Flicker_options options;
     Pooling_kernel kernel;
-    std::vector<Site> sites;
     std::size_t frames_seen = 0;
     std::size_t warmup_frames = 0;
 
+    // Per site, in placement order.
+    std::vector<Site> sites;
+    std::vector<Tap> taps; // fixed under steady gaze, else moved every frame
+    std::vector<double> adapt_luminance;
+    std::vector<double> peak_amplitude;
+    std::optional<Perceptual_filter_bank> filters; // built on the first frame
+
+    // Per-frame scratch.
+    std::vector<double> samples;
+    std::vector<double> reference_samples;
+    std::vector<double> perceived;
+
     Impl(int w, int h, double f, Vision_model_params p, Observer o, Flicker_options opts)
-        : width(w), height(h), fps(f), params(p), observer(std::move(o)), options(opts),
-          kernel(Pooling_kernel::make(std::max(0.3, opts.pooling_sigma_540 * h / 540.0)))
+        : width(w), height(h), fps(f), params(p), observer(std::move(o)),
+          options(checked_options(w, h, f, opts)),
+          kernel(Pooling_kernel::make(std::max(0.3, opts.pooling_sigma_540 * h / 540.0))),
+          warmup_frames(static_cast<std::size_t>(opts.warmup_seconds * f))
     {
-        util::expects(w > 0 && h > 0, "Flicker_assessor frame size must be positive");
-        util::expects(f > 0.0, "Flicker_assessor fps must be positive");
-        util::expects(opts.max_sites >= 1, "Flicker_assessor needs at least one site");
-        util::expects(opts.warmup_seconds >= 0.0, "warmup must be non-negative");
-        warmup_frames = static_cast<std::size_t>(opts.warmup_seconds * f);
         place_sites();
+        const std::size_t n = sites.size();
+        taps.resize(n);
+        adapt_luminance.assign(n, 0.0);
+        peak_amplitude.assign(n, 0.0);
+        samples.resize(n);
+        reference_samples.resize(n);
+        perceived.resize(n);
+    }
+
+    bool drifting() const
+    {
+        return options.gaze_velocity_x != 0.0 || options.gaze_velocity_y != 0.0;
     }
 
     void place_sites()
@@ -106,48 +156,68 @@ struct Flicker_assessor::Impl {
                 site.y = (gy + 0.5) * cell_h + prng.next_double(-0.25, 0.25) * cell_h;
                 site.x = std::clamp(site.x, 0.0, static_cast<double>(width - 1));
                 site.y = std::clamp(site.y, 0.0, static_cast<double>(height - 1));
-                sites.push_back(std::move(site));
+                sites.push_back(site);
             }
+        }
+    }
+
+    // Aperture centres at frame time t. Under steady gaze the drift terms
+    // are zero for every t, so the taps of the first frame hold for all.
+    void place_taps(double t)
+    {
+        for (std::size_t i = 0; i < sites.size(); ++i) {
+            // Gaze drift (phantom-array condition): the retinal site slides
+            // across the screen; wrap keeps it on-frame for long runs.
+            double sx = sites[i].x + options.gaze_velocity_x * t;
+            double sy = sites[i].y + options.gaze_velocity_y * t;
+            if (width > 1) sx = std::fmod(std::fmod(sx, width - 1) + (width - 1), width - 1);
+            if (height > 1) sy = std::fmod(std::fmod(sy, height - 1) + (height - 1), height - 1);
+            taps[i] = {static_cast<int>(std::lround(sx)), static_cast<int>(std::lround(sy))};
+        }
+    }
+
+    void pool(const img::Imagef& frame, std::vector<double>& out) const
+    {
+        for (std::size_t i = 0; i < taps.size(); ++i) {
+            out[i] = kernel.sample(frame, taps[i].x, taps[i].y);
         }
     }
 
     void push_frame(const img::Imagef& frame_in, const img::Imagef* reference_in = nullptr)
     {
-        const img::Imagef frame = img::to_gray(frame_in);
+        const telemetry::Scoped_span span("hvs.assess");
+        img::Imagef frame_storage;
+        const img::Imagef& frame = luminance_plane(frame_in, frame_storage);
         util::expects(frame.width() == width && frame.height() == height,
                       "Flicker_assessor frame size mismatch");
-        img::Imagef reference;
+        img::Imagef reference_storage;
+        const img::Imagef* reference = nullptr;
         if (reference_in != nullptr) {
-            reference = img::to_gray(*reference_in);
-            util::expects(reference.width() == width && reference.height() == height,
+            reference = &luminance_plane(*reference_in, reference_storage);
+            util::expects(reference->width() == width && reference->height() == height,
                           "Flicker_assessor reference size mismatch");
         }
-        const double t = static_cast<double>(frames_seen);
-        for (auto& site : sites) {
-            // Gaze drift (phantom-array condition): the retinal site slides
-            // across the screen; wrap keeps it on-frame for long runs.
-            double sx = site.x + options.gaze_velocity_x * t;
-            double sy = site.y + options.gaze_velocity_y * t;
-            if (width > 1) sx = std::fmod(std::fmod(sx, width - 1) + (width - 1), width - 1);
-            if (height > 1) sy = std::fmod(std::fmod(sy, height - 1) + (height - 1), height - 1);
-            double pooled = kernel.sample(frame, sx, sy);
-            if (!site.filter) {
-                // Adaptation state comes from the first (reference) frame.
-                const double adapt = reference_in != nullptr
-                                         ? kernel.sample(reference, sx, sy)
-                                         : pooled;
-                site.adapt_luminance = adapt;
-                site.filter.emplace(params, observer, adapt, fps);
-                site.filter->prime(adapt);
+        if (frames_seen == 0 || drifting()) place_taps(static_cast<double>(frames_seen));
+
+        if (!filters) {
+            // Adaptation state comes from the first (reference) frame.
+            pool(reference != nullptr ? *reference : frame, adapt_luminance);
+            filters.emplace(params, observer, adapt_luminance, fps);
+            filters->prime(adapt_luminance);
+        }
+        pool(frame, samples);
+        if (reference != nullptr) {
+            // Side-by-side mode: cancel the content, keep the artifact
+            // riding at the site's adaptation level.
+            pool(*reference, reference_samples);
+            for (std::size_t i = 0; i < samples.size(); ++i) {
+                samples[i] = adapt_luminance[i] + (samples[i] - reference_samples[i]);
             }
-            if (reference_in != nullptr) {
-                // Side-by-side mode: cancel the content, keep the artifact
-                // riding at the site's adaptation level.
-                pooled = site.adapt_luminance + (pooled - kernel.sample(reference, sx, sy));
-            }
-            const double y = site.filter->step(pooled);
-            if (frames_seen >= warmup_frames) {
-                site.peak_amplitude = std::max(site.peak_amplitude, std::fabs(y));
+        }
+        filters->step(samples, perceived);
+        if (frames_seen >= warmup_frames) {
+            for (std::size_t i = 0; i < perceived.size(); ++i) {
+                peak_amplitude[i] = std::max(peak_amplitude[i], std::fabs(perceived[i]));
             }
         }
         ++frames_seen;
@@ -165,11 +235,11 @@ struct Flicker_assessor::Impl {
         std::vector<double> ratios;
         ratios.reserve(sites.size());
         double mean_luminance = 0.0;
-        for (const auto& site : sites) {
-            const double threshold = amplitude_threshold(params, observer, site.adapt_luminance);
-            ratios.push_back(site.peak_amplitude / threshold);
-            mean_luminance += site.adapt_luminance;
-            r.peak_perceived_amplitude = std::max(r.peak_perceived_amplitude, site.peak_amplitude);
+        for (std::size_t i = 0; i < sites.size(); ++i) {
+            const double threshold = amplitude_threshold(params, observer, adapt_luminance[i]);
+            ratios.push_back(peak_amplitude[i] / threshold);
+            mean_luminance += adapt_luminance[i];
+            r.peak_perceived_amplitude = std::max(r.peak_perceived_amplitude, peak_amplitude[i]);
         }
         mean_luminance /= static_cast<double>(sites.size());
         std::sort(ratios.begin(), ratios.end(), std::greater<>());

@@ -6,7 +6,7 @@
 // pools luminance over a small Gaussian aperture (the eye cannot resolve
 // individual super Pixels at the paper's viewing distance — the basis of
 // the Pixel-size design choice), and each pooled waveform runs through the
-// Perceptual_filter band-pass. The verdict is driven by the worst sites:
+// Perceptual_filter_bank band-pass. The verdict is driven by the worst sites:
 // flicker anywhere on the screen is flicker.
 //
 // An optional constant-velocity gaze drift models the phantom-array

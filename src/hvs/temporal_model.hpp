@@ -16,10 +16,10 @@
 //    amplitude-linear rather than Weber-contrast driven, per Kelly 1972).
 #pragma once
 
-#include "dsp/filter.hpp"
 #include "hvs/observer.hpp"
 
 #include <span>
+#include <vector>
 
 namespace inframe::hvs {
 
@@ -75,24 +75,37 @@ double perceptual_gain(const Vision_model_params& params, const Observer& observ
                        double luminance, double frequency_hz,
                        double sample_rate_hz = 120.0);
 
-// Streaming band-pass stage for one retinal site: feed display-rate
-// luminance samples, read back the perceived deviation.
-class Perceptual_filter {
+// Streaming band-pass for a bank of retinal sites: feed every site one
+// display-rate luminance sample per step, read back the perceived
+// deviations. Sites differ only in the luminance they adapted to, which
+// sets the corner of their fast cascade.
+//
+// The bank is structure-of-arrays (stage-major fast states, slow states,
+// per-site alphas) and steps all sites through the oversampled cascade in
+// loops over sites. Each site keeps the operation order of a pair of
+// dsp::Exponential_cascade filters, so its output bits do not depend on
+// the bank it sits in (DESIGN.md §4h).
+class Perceptual_filter_bank {
 public:
-    Perceptual_filter(const Vision_model_params& params, const Observer& observer,
-                      double adapt_luminance, double sample_rate_hz);
+    Perceptual_filter_bank(const Vision_model_params& params, const Observer& observer,
+                           std::span<const double> adapt_luminance, double sample_rate_hz);
 
-    // Returns the perceived deviation (fast path minus adaptation path).
-    double step(double luminance_sample);
-    void reset();
+    std::size_t size() const { return fast_alpha_.size(); }
 
-    // Settles both paths at a steady luminance (no start-up transient).
-    void prime(double luminance);
+    // Settles both paths of site i at luminance[i] (no start-up transient).
+    void prime(std::span<const double> luminance);
+
+    // Feeds samples[i] to site i and writes its perceived deviation (fast
+    // path minus adaptation path) to out[i].
+    void step(std::span<const double> samples, std::span<double> out);
 
 private:
-    int oversample_;
-    dsp::Exponential_cascade fast_;
-    dsp::Exponential_cascade slow_;
+    int stages_ = 0;
+    int oversample_ = 0;
+    double slow_alpha_ = 0.0;
+    std::vector<double> fast_alpha_; // per site
+    std::vector<double> fast_;       // stage-major: fast_[stage * size() + site]
+    std::vector<double> slow_;       // per site
 };
 
 // Offline helper: perceived peak deviation of a waveform after warmup.

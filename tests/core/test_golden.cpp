@@ -1,5 +1,6 @@
 // Golden regression vectors: CRC32 fingerprints of the encoder's display
-// frames and of the decoded payload for two frozen reference configs.
+// frames and of the decoded payload for two frozen reference configs, and
+// bit pins of the flicker assessor (bottom of the file).
 //
 // These pin the *exact* bit-level behaviour of the whole encode path
 // (chessboard embed, complementary pair, GOB parity) and of the clean
@@ -11,12 +12,22 @@
 #include "coding/parity.hpp"
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
+#include "core/link_runner.hpp"
 #include "core/session.hpp"
+#include "core/stages.hpp"
+#include "hvs/flicker.hpp"
+#include "imgproc/draw.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
+#include "video/playback.hpp"
+#include "video/source.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace {
@@ -105,5 +116,159 @@ TEST_P(Golden, DisplayFramesAndDecodedPayloadMatchFrozenCrcs)
 
 INSTANTIATE_TEST_SUITE_P(ReferenceConfigs, Golden, ::testing::ValuesIn(golden_cases),
                          [](const auto& info) { return info.param.name; });
+
+// --- flicker assessor ----------------------------------------------------
+//
+// Bit pins of the simulated observer (src/hvs): score, visibility ratio and
+// worst-site perceived amplitude compared as IEEE-754 bit patterns. They
+// were frozen before the assessor's per-site filters became one
+// structure-of-arrays bank, and hold the refactor to the old bits. Refresh
+// only for an intentional change to the vision model, from the values the
+// failing test prints (run: test_core --gtest_filter='FlickerGolden*').
+
+namespace flicker_golden {
+
+using inframe::hvs::Flicker_assessor;
+using inframe::hvs::Flicker_options;
+using inframe::hvs::Flicker_result;
+using inframe::hvs::Observer;
+using inframe::hvs::Vision_model_params;
+
+struct Result_bits {
+    std::uint64_t score;
+    std::uint64_t visibility_ratio;
+    std::uint64_t peak_perceived_amplitude;
+};
+
+std::uint64_t bits_of(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+void expect_bits(const Flicker_result& r, const Result_bits& frozen, const std::string& label)
+{
+    EXPECT_EQ(bits_of(r.score), frozen.score)
+        << label << ": score changed; new bits 0x" << std::hex << bits_of(r.score) << " ("
+        << r.score << ")";
+    EXPECT_EQ(bits_of(r.visibility_ratio), frozen.visibility_ratio)
+        << label << ": visibility_ratio changed; new bits 0x" << std::hex
+        << bits_of(r.visibility_ratio) << " (" << r.visibility_ratio << ")";
+    EXPECT_EQ(bits_of(r.peak_perceived_amplitude), frozen.peak_perceived_amplitude)
+        << label << ": peak_perceived_amplitude changed; new bits 0x" << std::hex
+        << bits_of(r.peak_perceived_amplitude) << " (" << r.peak_perceived_amplitude << ")";
+}
+
+// bench_fig6_flicker's panel (480x270, 8 observers, 512 sites, side by
+// side against the unmodified video) on the sunrise clip, one second.
+Flicker_experiment_config fig6_sunrise_config()
+{
+    Flicker_experiment_config config;
+    config.video = inframe::video::make_sunrise_video(480, 270);
+    config.inframe = paper_config(480, 270);
+    config.duration_s = 1.0;
+    config.observers = 8;
+    config.options.max_sites = 512;
+    return config;
+}
+
+// One frozen result per panel observer, in make_observer_panel order.
+constexpr Result_bits panel_bits[] = {
+    {0x0000000000000000ULL, 0x3fd8b80d70396ee8ULL, 0x3fd363f778af5b40ULL},
+    {0x0000000000000000ULL, 0x3fd32901e75bd1fcULL, 0x3fd13602a05b94c0ULL},
+    {0x3fd14676dd2ebbd6ULL, 0x3fe34abc1f23a8d9ULL, 0x3fd5bfc2dbee65c0ULL},
+    {0x0000000000000000ULL, 0x3fd9580c5e3bf97aULL, 0x3fd3718700ebe400ULL},
+    {0x0000000000000000ULL, 0x3fdd6c499f72c2c2ULL, 0x3fd4e4f32557bcc0ULL},
+    {0x0000000000000000ULL, 0x3fd815c11d780edaULL, 0x3fd2e5d84f450fc0ULL},
+    {0x0000000000000000ULL, 0x3fd49a819ab74cf7ULL, 0x3fd337033a128dc0ULL},
+    {0x0000000000000000ULL, 0x3fd5549d318124cbULL, 0x3fd32e20c91ba5c0ULL},
+};
+constexpr std::uint64_t panel_mean_score_bits = 0x3fa14676dd2ebbd6ULL;
+
+TEST(FlickerGolden, Fig6PanelMatchesFrozenBits)
+{
+    const auto config = fig6_sunrise_config();
+    const auto panel = run_flicker_experiment(config);
+    ASSERT_EQ(panel.scores.size(), std::size(panel_bits));
+    EXPECT_EQ(bits_of(panel.mean_score), panel_mean_score_bits)
+        << "panel mean score changed; new bits 0x" << std::hex << bits_of(panel.mean_score);
+
+    // The same graph assembled by hand exposes every observer's full
+    // result; its scores must be run_flicker_experiment's.
+    std::vector<Flicker_assessor> assessors;
+    for (const auto& observer :
+         inframe::hvs::make_observer_panel(config.observers, config.observer_seed)) {
+        assessors.emplace_back(480, 270, config.inframe.display_fps, config.vision, observer,
+                               config.options);
+    }
+    Pipeline pipeline;
+    pipeline.emplace_stage<Video_stage>(
+        config.video,
+        inframe::video::Playback_schedule{config.inframe.display_fps, config.inframe.video_fps});
+    Encode_stage::Options encode_options;
+    encode_options.payloads = make_random_payload_source(
+        config.data_seed, config.inframe.geometry.payload_bits_per_frame());
+    encode_options.emit_reference = true;
+    pipeline.emplace_stage<Encode_stage>(config.inframe, std::move(encode_options));
+    pipeline.emplace_stage<Function_stage>("assess", [&assessors](Frame_token token) {
+        for (auto& assessor : assessors) assessor.push_frame_pair(token.image, token.reference);
+        std::vector<Frame_token> out;
+        out.push_back(std::move(token));
+        return out;
+    });
+    pipeline.run(std::llround(config.duration_s * config.inframe.display_fps));
+
+    for (std::size_t i = 0; i < assessors.size(); ++i) {
+        const Flicker_result r = assessors[i].result();
+        const std::string label = "observer " + std::to_string(i);
+        EXPECT_EQ(bits_of(r.score), bits_of(panel.scores[i])) << label;
+        expect_bits(r, panel_bits[i], label);
+    }
+}
+
+TEST(FlickerGolden, AbsoluteModeWithGazeDriftMatchesFrozenBits)
+{
+    // A 60 Hz +-4 checkerboard over a horizontal ramp, watched with a
+    // diagonal drift whose negative y component exercises the wrap.
+    constexpr int width = 96;
+    constexpr int height = 54;
+    Flicker_options options;
+    options.gaze_velocity_x = 0.75;
+    options.gaze_velocity_y = -0.3;
+    Flicker_assessor assessor(width, height, 120.0, Vision_model_params{}, Observer{}, options);
+    for (int i = 0; i < 180; ++i) {
+        Imagef frame = inframe::img::checkerboard(width, height, 4, -4.0f, 4.0f, i % 2);
+        for (int y = 0; y < height; ++y) {
+            for (int x = 0; x < width; ++x) frame(x, y) += 60.0f + 0.05f * static_cast<float>(x);
+        }
+        assessor.push_frame(frame);
+    }
+    expect_bits(assessor.result(),
+                {0x400cf11f6ee64b75ULL, 0x40188d2b2ad4f684ULL, 0x4014320eda0077b8ULL},
+                "gaze drift");
+}
+
+TEST(FlickerGolden, ThreeChannelPairMatchesFrozenBits)
+{
+    // A warm-tinted sunrise (genuine RGB frames) shown with a 30 Hz
+    // full-field artifact, side by side against the clean tinted frame.
+    constexpr int width = 160;
+    constexpr int height = 90;
+    const inframe::video::Tinted_video video(inframe::video::make_sunrise_video(width, height),
+                                             {40.0f, 20.0f, 10.0f}, {250.0f, 200.0f, 150.0f});
+    Flicker_assessor assessor(width, height, 120.0, Vision_model_params{}, Observer{});
+    for (int i = 0; i < 150; ++i) {
+        const Imagef reference = video.frame(i / 4);
+        ASSERT_EQ(reference.channels(), 3);
+        Imagef shown = reference;
+        const float artifact = (i % 4) < 2 ? 6.0f : -6.0f;
+        for (auto& v : shown.values()) v += artifact;
+        assessor.push_frame_pair(shown, reference);
+    }
+    expect_bits(assessor.result(),
+                {0x3fea3838b50c3710ULL, 0x3fec3be9273c2e4bULL, 0x3fe3837911775680ULL},
+                "three-channel pair");
+}
+
+} // namespace flicker_golden
 
 } // namespace

@@ -1,10 +1,15 @@
 #include "hvs/flicker.hpp"
 
 #include "imgproc/draw.hpp"
+#include "imgproc/image_ops.hpp"
 #include "util/contract.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace {
@@ -160,6 +165,37 @@ TEST(FlickerAssessor, OptionValidation)
                  Contract_violation);
     EXPECT_THROW(Flicker_assessor(width, height, 0.0, Vision_model_params{}, Observer{}),
                  Contract_violation);
+
+    // Non-finite values would reach size_t/int conversions and lround.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double f : {inf, nan}) {
+        EXPECT_THROW(Flicker_assessor(width, height, f, Vision_model_params{}, Observer{}),
+                     Contract_violation);
+    }
+    const auto rejects = [](const Flicker_options& options) {
+        EXPECT_THROW(
+            Flicker_assessor(width, height, fps, Vision_model_params{}, Observer{}, options),
+            Contract_violation);
+    };
+    for (const double v : {inf, -inf, nan}) {
+        Flicker_options options;
+        options.gaze_velocity_x = v;
+        rejects(options);
+        options = {};
+        options.gaze_velocity_y = v;
+        rejects(options);
+        options = {};
+        options.pooling_sigma_540 = v;
+        rejects(options);
+    }
+    Flicker_options options;
+    options.warmup_seconds = inf;
+    rejects(options);
+    options.warmup_seconds = nan;
+    rejects(options);
+    options.warmup_seconds = 1e300; // finite, but no size_t holds the frame count
+    rejects(options);
 }
 
 TEST(FlickerAssessor, EmptySequenceThrows)
@@ -237,6 +273,160 @@ TEST(FlickerPanel, EmptyPanelThrows)
     const auto frames = steady_frames(127.0f, 10);
     EXPECT_THROW(assess_flicker_panel(frames, fps, Vision_model_params{}, {}),
                  Contract_violation);
+}
+
+// --- input paths ----------------------------------------------------------
+
+bool same_bits(const Flicker_result& a, const Flicker_result& b)
+{
+    return std::bit_cast<std::uint64_t>(a.score) == std::bit_cast<std::uint64_t>(b.score)
+           && std::bit_cast<std::uint64_t>(a.visibility_ratio)
+                  == std::bit_cast<std::uint64_t>(b.visibility_ratio)
+           && std::bit_cast<std::uint64_t>(a.peak_perceived_amplitude)
+                  == std::bit_cast<std::uint64_t>(b.peak_perceived_amplitude)
+           && std::bit_cast<std::uint64_t>(a.adapt_luminance)
+                  == std::bit_cast<std::uint64_t>(b.adapt_luminance)
+           && a.frames_assessed == b.frames_assessed;
+}
+
+std::string describe(const Flicker_result& r)
+{
+    return "score " + std::to_string(r.score) + " ratio " + std::to_string(r.visibility_ratio)
+           + " peak " + std::to_string(r.peak_perceived_amplitude);
+}
+
+// RGB frames: a colour gradient with a 30 Hz tint flicker in one patch.
+std::vector<Imagef> rgb_frames(int count)
+{
+    std::vector<Imagef> frames;
+    for (int i = 0; i < count; ++i) {
+        Imagef frame(width, height, 3);
+        for (int y = 0; y < height; ++y) {
+            for (int x = 0; x < width; ++x) {
+                frame(x, y, 0) = 40.0f + 2.0f * static_cast<float>(x);
+                frame(x, y, 1) = 90.0f + 1.5f * static_cast<float>(y);
+                frame(x, y, 2) = 160.0f - static_cast<float>(x + y);
+            }
+        }
+        const float sign = (i % 4) < 2 ? 1.0f : -1.0f;
+        inframe::img::fill_rect_rgb(frame, 20, 10, 30, 20, 120.0f + 12.0f * sign, 100.0f,
+                                    80.0f - 6.0f * sign);
+        frames.push_back(std::move(frame));
+    }
+    return frames;
+}
+
+TEST(FlickerInput, RgbFrameMatchesItsGrayConversion)
+{
+    const auto rgb = rgb_frames(120);
+    std::vector<Imagef> gray;
+    for (const auto& frame : rgb) gray.push_back(inframe::img::to_gray(frame));
+    const Imagef rgb_reference = rgb_frames(1)[0];
+    const Imagef gray_reference = inframe::img::to_gray(rgb_reference);
+
+    Flicker_options drift;
+    drift.gaze_velocity_x = 0.5;
+    for (const auto& options : {Flicker_options{}, drift}) {
+        Flicker_assessor absolute_rgb(width, height, fps, Vision_model_params{}, Observer{},
+                                      options);
+        Flicker_assessor absolute_gray(width, height, fps, Vision_model_params{}, Observer{},
+                                       options);
+        Flicker_assessor pair_rgb(width, height, fps, Vision_model_params{}, Observer{},
+                                  options);
+        Flicker_assessor pair_gray(width, height, fps, Vision_model_params{}, Observer{},
+                                   options);
+        for (std::size_t i = 0; i < rgb.size(); ++i) {
+            absolute_rgb.push_frame(rgb[i]);
+            absolute_gray.push_frame(gray[i]);
+            pair_rgb.push_frame_pair(rgb[i], rgb_reference);
+            pair_gray.push_frame_pair(gray[i], gray_reference);
+        }
+        EXPECT_GT(absolute_gray.result().visibility_ratio, 0.0);
+        EXPECT_TRUE(same_bits(absolute_rgb.result(), absolute_gray.result()))
+            << describe(absolute_rgb.result()) << " vs " << describe(absolute_gray.result());
+        EXPECT_TRUE(same_bits(pair_rgb.result(), pair_gray.result()))
+            << describe(pair_rgb.result()) << " vs " << describe(pair_gray.result());
+    }
+}
+
+TEST(FlickerInput, PairModeWithGazeDrift)
+{
+    // Content that moves under a drifting gaze: a checkerboard alternating
+    // at 60 Hz. Side by side against itself it cancels exactly; a 30 Hz
+    // artifact on the shown frame is still caught, and drift changes what
+    // the sites see.
+    Flicker_options drift;
+    drift.gaze_velocity_x = 3.0;
+    drift.gaze_velocity_y = -0.5;
+    Flicker_assessor same(width, height, fps, Vision_model_params{}, Observer{}, drift);
+    Flicker_assessor artifact(width, height, fps, Vision_model_params{}, Observer{}, drift);
+    Flicker_assessor steady(width, height, fps, Vision_model_params{}, Observer{});
+    for (int i = 0; i < 180; ++i) {
+        const Imagef reference =
+            inframe::img::checkerboard(width, height, 4, 107.0f, 147.0f, i % 2);
+        Imagef shown = reference;
+        inframe::img::fill_rect(shown, 30, 12, 24, 20, (i % 4) < 2 ? 140.0f : 114.0f);
+        same.push_frame_pair(reference, reference);
+        artifact.push_frame_pair(shown, reference);
+        steady.push_frame_pair(shown, reference);
+    }
+    EXPECT_EQ(same.result().visibility_ratio, 0.0);
+    EXPECT_GT(artifact.result().score, 1.0);
+    EXPECT_FALSE(same_bits(artifact.result(), steady.result()));
+}
+
+TEST(FlickerInput, TinyFramesMatchAFullFieldBitForBit)
+{
+    // A uniform field pools to the same value wherever the aperture sits
+    // and however its taps are clamped, so 1x1 and 1-pixel-wide frames
+    // (whose taps clamp on every edge, and which skip the wrap on the
+    // 1-pixel axis) must reproduce the full-size result exactly; all three
+    // grids rank their worst 10 sites.
+    const auto full = modulated_frames(127.0f, 10.0f, 4, 150);
+    Flicker_options drift;
+    drift.gaze_velocity_x = 1.5;
+    drift.gaze_velocity_y = -2.25;
+    for (const auto& options : {Flicker_options{}, drift}) {
+        const auto expected = assess_flicker(full, fps, Vision_model_params{}, Observer{},
+                                             options);
+        ASSERT_GT(expected.visibility_ratio, 1.0);
+        for (const auto& [w, h] : {std::pair{1, 1}, std::pair{1, 20}, std::pair{20, 1}}) {
+            std::vector<Imagef> frames;
+            for (const auto& frame : full) frames.emplace_back(w, h, 1, frame(0, 0));
+            const auto r = assess_flicker(frames, fps, Vision_model_params{}, Observer{},
+                                          options);
+            EXPECT_TRUE(same_bits(r, expected))
+                << w << "x" << h << ": " << describe(r) << " vs " << describe(expected);
+
+            // Side by side against a steady reference of the same size.
+            Flicker_assessor pair(w, h, fps, Vision_model_params{}, Observer{}, options);
+            for (const auto& frame : frames) pair.push_frame_pair(frame, Imagef(w, h, 1, 127.0f));
+            EXPECT_GT(pair.result().visibility_ratio, 1.0) << w << "x" << h;
+        }
+    }
+}
+
+TEST(FlickerInput, MidStreamResultLeavesTheFinalResultUnchanged)
+{
+    const auto frames = modulated_frames(127.0f, 6.0f, 4, 160);
+    Flicker_options drift;
+    drift.gaze_velocity_x = 0.75;
+    for (const auto& options : {Flicker_options{}, drift}) {
+        Flicker_assessor polled(width, height, fps, Vision_model_params{}, Observer{}, options);
+        Flicker_assessor plain(width, height, fps, Vision_model_params{}, Observer{}, options);
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            polled.push_frame(frames[i]);
+            plain.push_frame(frames[i]);
+            if (i % 7 == 0) {
+                const auto partial = polled.result();
+                EXPECT_EQ(partial.frames_assessed, i + 1);
+            }
+        }
+        EXPECT_TRUE(same_bits(polled.result(), plain.result()))
+            << describe(polled.result()) << " vs " << describe(plain.result());
+        // Reading twice changes nothing either.
+        EXPECT_TRUE(same_bits(polled.result(), polled.result()));
+    }
 }
 
 } // namespace

@@ -1,11 +1,19 @@
 #include "hvs/temporal_model.hpp"
 
 #include "dsp/envelope.hpp"
+#include "dsp/filter.hpp"
+#include "util/contract.hpp"
+#include "util/prng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <string>
 #include <vector>
 
 namespace {
@@ -191,6 +199,152 @@ TEST(TemporalModel, LongerSmoothingCycleReducesVisibility)
     };
     EXPECT_GT(perceived_for_tau(10), perceived_for_tau(14));
     EXPECT_GT(perceived_for_tau(14), perceived_for_tau(20));
+}
+
+// --- Perceptual_filter_bank ---------------------------------------------
+
+// One retinal site as two dsp::Exponential_cascade filters, stepped one
+// site at a time: the per-site filter the bank replaced, kept here as the
+// reference its lanes must match bit for bit.
+class Reference_site_filter {
+public:
+    Reference_site_filter(const Vision_model_params& params, const Observer& observer,
+                          double adapt_luminance, double sample_rate_hz)
+        : oversample_(std::max(
+              1, static_cast<int>(std::ceil(params.min_internal_rate_hz / sample_rate_hz)))),
+          fast_(corner_frequency_hz(params, observer, adapt_luminance), params.cascade_stages,
+                sample_rate_hz * oversample_),
+          slow_(params.adapt_cutoff_hz, 1, sample_rate_hz * oversample_)
+    {
+    }
+
+    int oversample() const { return oversample_; }
+
+    double step(double luminance_sample)
+    {
+        double out = 0.0;
+        for (int i = 0; i < oversample_; ++i) {
+            const double fast = fast_.step(luminance_sample);
+            out = fast - slow_.step(fast);
+        }
+        return out;
+    }
+
+    void prime(double luminance)
+    {
+        fast_.prime(luminance);
+        slow_.prime(luminance);
+    }
+
+private:
+    int oversample_;
+    inframe::dsp::Exponential_cascade fast_;
+    inframe::dsp::Exponential_cascade slow_;
+};
+
+// Adaptation levels spread log-uniformly over [0.5, 255], with the ends
+// and the clamped_luminance floor (1.0) and its neighbours included.
+std::vector<double> adapt_levels(std::size_t n, std::uint64_t seed)
+{
+    inframe::util::Prng prng(seed);
+    const double fixed[] = {0.5, std::nextafter(1.0, 0.0), 1.0, std::nextafter(1.0, 2.0), 255.0};
+    std::vector<double> levels(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        levels[i] = i < std::size(fixed) ? fixed[i]
+                                         : std::exp(prng.next_double(std::log(0.5),
+                                                                     std::log(255.0)));
+    }
+    return levels;
+}
+
+TEST(PerceptualFilterBank, LanesMatchPerSiteCascadesBitForBit)
+{
+    const Vision_model_params params;
+    const auto panel = make_observer_panel(3, 7);
+    constexpr int steps = 48;
+    for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{1024},
+                                std::size_t{1025}}) {
+        for (const double rate : {120.0, 60.0, 29.97}) {
+            for (const bool primed : {true, false}) {
+                const Observer& observer = panel[n % panel.size()];
+                const std::string label = "n=" + std::to_string(n) + " rate="
+                                          + std::to_string(rate)
+                                          + (primed ? " primed" : " unprimed");
+                const auto levels = adapt_levels(n, 11 + n);
+                Perceptual_filter_bank bank(params, observer, levels, rate);
+                ASSERT_EQ(bank.size(), n) << label;
+                std::vector<Reference_site_filter> reference;
+                for (const double level : levels) {
+                    reference.emplace_back(params, observer, level, rate);
+                }
+                const int expected_oversample = rate == 120.0 ? 8 : rate == 60.0 ? 16 : 33;
+                ASSERT_EQ(reference[0].oversample(), expected_oversample) << label;
+                if (primed) {
+                    bank.prime(levels);
+                    for (std::size_t i = 0; i < n; ++i) reference[i].prime(levels[i]);
+                }
+
+                // Steps, ramps and noise around each site's level, with an
+                // occasional jump to 0 or 255.
+                inframe::util::Prng prng(3 * n + static_cast<std::uint64_t>(rate));
+                std::vector<double> samples(n);
+                std::vector<double> out(n);
+                std::size_t mismatches = 0;
+                for (int t = 0; t < steps; ++t) {
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const double u = prng.next_double();
+                        samples[i] = u < 0.05   ? 0.0
+                                     : u > 0.95 ? 255.0
+                                                : levels[i] + prng.next_double(-30.0, 30.0);
+                    }
+                    bank.step(samples, out);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const double expected = reference[i].step(samples[i]);
+                        if (std::bit_cast<std::uint64_t>(out[i])
+                            != std::bit_cast<std::uint64_t>(expected)) {
+                            if (mismatches++ == 0) {
+                                ADD_FAILURE() << label << ": site " << i << " step " << t
+                                              << " bank " << out[i] << " reference "
+                                              << expected;
+                            }
+                        }
+                    }
+                }
+                EXPECT_EQ(mismatches, 0u) << label;
+            }
+        }
+    }
+}
+
+TEST(PerceptualFilterBank, SizeMismatchThrows)
+{
+    const std::vector<double> levels = {50.0, 100.0};
+    Perceptual_filter_bank bank(Vision_model_params{}, Observer{}, levels, 120.0);
+    std::vector<double> three(3);
+    std::vector<double> two(2);
+    EXPECT_THROW(bank.prime(three), inframe::util::Contract_violation);
+    EXPECT_THROW(bank.step(three, two), inframe::util::Contract_violation);
+    EXPECT_THROW(bank.step(two, three), inframe::util::Contract_violation);
+}
+
+TEST(PerceptualFilterBank, RejectsRatesTooLowForTheInternalRate)
+{
+    const std::vector<double> levels = {100.0};
+    EXPECT_THROW(Perceptual_filter_bank(Vision_model_params{}, Observer{}, levels, 1e-9),
+                 inframe::util::Contract_violation);
+    EXPECT_THROW(Perceptual_filter_bank(Vision_model_params{}, Observer{}, levels,
+                                        std::numeric_limits<double>::quiet_NaN()),
+                 inframe::util::Contract_violation);
+}
+
+TEST(TemporalModel, PerceivedPeakAmplitudeRejectsNonFiniteArguments)
+{
+    const std::vector<double> wave(16, 127.0);
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(perceived_peak_amplitude({}, {}, wave, inf, 127.0),
+                 inframe::util::Contract_violation);
+    EXPECT_THROW(perceived_peak_amplitude({}, {}, wave, 120.0, 127.0, inf),
+                 inframe::util::Contract_violation);
 }
 
 } // namespace

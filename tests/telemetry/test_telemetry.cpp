@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -317,6 +320,35 @@ std::string slurp(const std::filesystem::path& path)
     return buffer.str();
 }
 
+// Every span name the instrumentation records.
+const std::set<std::string>& instrumented_spans()
+{
+    static const std::set<std::string> names = {
+        // pipeline stages (link + flicker drivers)
+        "video", "encode", "link", "decode", "send", "receive", "produce", "assess",
+        // instrumented operations
+        "encode.embed", "decode.capture", "decode.finalize", "link.capture",
+        "camera.optics", "pool.batch", "sync.estimate", "hvs.assess",
+        // impairment stages
+        "timing", "exposure-drift", "shake", "tear", "occlusion"};
+    return names;
+}
+
+// Checks each trace event's shape and that its name is an instrumented
+// span; returns the names seen, one entry per event.
+std::multiset<std::string> span_names(const std::vector<json::Value>& events)
+{
+    std::multiset<std::string> seen;
+    for (const auto& event : events) {
+        EXPECT_EQ(event.string_or("ph", ""), "X");
+        EXPECT_GE(event.number_or("dur", -1.0), 0.0);
+        const std::string name = event.string_or("name", "?");
+        EXPECT_TRUE(instrumented_spans().count(name)) << "unregistered span name: " << name;
+        seen.insert(name);
+    }
+    return seen;
+}
+
 TEST(TelemetryContract, TracedRunExportsValidArtifacts)
 {
     const auto dir = std::filesystem::path(::testing::TempDir()) / "telemetry_smoke";
@@ -326,27 +358,12 @@ TEST(TelemetryContract, TracedRunExportsValidArtifacts)
     ASSERT_GT(result.data_frames, 0);
 
     // trace.json: parses, and every span name is an instrumented one.
-    const std::set<std::string> allowed = {
-        // pipeline stages (link + flicker drivers)
-        "video", "encode", "link", "decode", "send", "receive", "produce", "assess",
-        // instrumented operations
-        "encode.embed", "decode.capture", "decode.finalize", "link.capture",
-        "camera.optics", "pool.batch", "sync.estimate",
-        // impairment stages
-        "timing", "exposure-drift", "shake", "tear", "occlusion"};
     json::Value trace;
     std::string error;
     ASSERT_TRUE(json::parse(slurp(dir / "trace.json"), trace, &error)) << error;
     const auto& events = trace["traceEvents"].as_array();
     ASSERT_FALSE(events.empty());
-    std::set<std::string> seen;
-    for (const auto& event : events) {
-        EXPECT_EQ(event.string_or("ph", ""), "X");
-        EXPECT_GE(event.number_or("dur", -1.0), 0.0);
-        const std::string name = event.string_or("name", "?");
-        EXPECT_TRUE(allowed.count(name)) << "unregistered span name: " << name;
-        seen.insert(name);
-    }
+    const std::multiset<std::string> seen = span_names(events);
     // The core of the pipeline must actually appear.
     for (const char* expected : {"video", "encode", "link", "decode", "encode.embed",
                                  "decode.finalize", "link.capture", "camera.optics"}) {
@@ -377,6 +394,44 @@ TEST(TelemetryContract, TracedRunExportsValidArtifacts)
     ASSERT_TRUE(metrics["histograms"].is_object());
     EXPECT_GE(metrics.number_or("span_count", 0.0), static_cast<double>(events.size()));
     EXPECT_EQ(metrics.number_or("frame_count", -1.0), static_cast<double>(frames));
+}
+
+core::Flicker_experiment_config traced_panel()
+{
+    core::Flicker_experiment_config config;
+    config.video = video::make_sunrise_video(480, 270);
+    config.inframe = core::paper_config(480, 270);
+    config.duration_s = 0.75; // past the assessor's 0.5 s warm-up
+    config.observers = 3;
+    config.options.max_sites = 256;
+    return config;
+}
+
+TEST(TelemetryContract, FlickerPanelIdenticalWithTelemetryOnOrOff)
+{
+    const auto baseline = core::run_flicker_experiment(traced_panel());
+    auto config = traced_panel();
+    const auto dir = std::filesystem::path(::testing::TempDir()) / "telemetry_flicker";
+    config.telemetry.trace_dir = dir.string();
+    const auto traced = core::run_flicker_experiment(config);
+
+    ASSERT_EQ(traced.scores.size(), baseline.scores.size());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(traced.mean_score),
+              std::bit_cast<std::uint64_t>(baseline.mean_score));
+    for (std::size_t i = 0; i < baseline.scores.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(traced.scores[i]),
+                  std::bit_cast<std::uint64_t>(baseline.scores[i]))
+            << "observer " << i;
+    }
+
+    // One hvs.assess span per observer per display frame.
+    json::Value trace;
+    std::string error;
+    ASSERT_TRUE(json::parse(slurp(dir / "trace.json"), trace, &error)) << error;
+    const std::multiset<std::string> seen = span_names(trace["traceEvents"].as_array());
+    const auto display_frames = std::llround(config.duration_s * config.inframe.display_fps);
+    EXPECT_EQ(seen.count("hvs.assess"),
+              static_cast<std::size_t>(display_frames * config.observers));
 }
 
 } // namespace
