@@ -3,10 +3,13 @@
 #include "imgproc/draw.hpp"
 #include "imgproc/image_ops.hpp"
 #include "imgproc/io.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/contract.hpp"
 #include "util/prng.hpp"
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace inframe::video {
@@ -31,10 +34,100 @@ double smoothstep(double t)
     return t * t * (3.0 - 2.0 * t);
 }
 
+// Rejects coordinates whose finest octave would leave the lattice: floor()
+// of it and its +1 neighbour must fit std::int64_t, so |x| * 2^(octaves-1)
+// must stay below 2^62. The comparison is false for inf and NaN too.
+void expect_lattice_domain(double x, double y, int octaves)
+{
+    const double limit = std::ldexp(0x1.0p62, 1 - octaves);
+    util::expects(std::fabs(x) < limit && std::fabs(y) < limit,
+                  "noise coordinates must be finite and below 2^62 at the finest octave");
+}
+
+// fractal_noise(x, y, seed, Octaves) along one row of fixed y. Everything
+// that depends on y alone (lattice row, fade weight, octave seed) is set up
+// once, and each octave re-hashes its four lattice values only when x
+// enters a new cell. The arithmetic is fractal_noise's and value_noise's,
+// operation for operation, so every result is bit-identical to theirs.
+// Callers check the coordinate domain.
+template <int Octaves>
+class Row_noise {
+public:
+    Row_noise(double y, std::uint64_t seed)
+    {
+        double amplitude = 0.5;
+        for (int o = 0; o < Octaves; ++o) {
+            Octave& octave = octaves_[o];
+            const double fy = std::floor(y);
+            octave.iy = static_cast<std::int64_t>(fy);
+            octave.ty = smoothstep(y - fy);
+            octave.seed = seed + static_cast<std::uint64_t>(o) * 7919;
+            norm_ += amplitude;
+            y *= 2.0;
+            amplitude *= 0.5;
+        }
+    }
+
+    double operator()(double x)
+    {
+        double amplitude = 0.5;
+        double total = 0.0;
+        for (Octave& octave : octaves_) {
+            const double fx = std::floor(x);
+            const auto ix = static_cast<std::int64_t>(fx);
+            if (ix != octave.ix) octave.enter_cell(ix);
+            const double tx = smoothstep(x - fx);
+            const double top = octave.v00 + octave.top_slope * tx;
+            const double bottom = octave.v01 + octave.bottom_slope * tx;
+            total += amplitude * (top + (bottom - top) * octave.ty);
+            x *= 2.0;
+            amplitude *= 0.5;
+        }
+        return total / norm_;
+    }
+
+private:
+    struct Octave {
+        std::int64_t ix = std::numeric_limits<std::int64_t>::min(); // no cell yet
+        std::int64_t iy = 0;
+        double ty = 0.0;
+        std::uint64_t seed = 0;
+        double v00 = 0.0;
+        double v01 = 0.0;
+        double top_slope = 0.0;    // v10 - v00
+        double bottom_slope = 0.0; // v11 - v01
+
+        void enter_cell(std::int64_t cell)
+        {
+            ix = cell;
+            v00 = lattice_value(ix, iy, seed);
+            const double v10 = lattice_value(ix + 1, iy, seed);
+            v01 = lattice_value(ix, iy + 1, seed);
+            const double v11 = lattice_value(ix + 1, iy + 1, seed);
+            top_slope = v10 - v00;
+            bottom_slope = v11 - v01;
+        }
+    };
+
+    std::array<Octave, Octaves> octaves_{};
+    double norm_ = 0.0;
+};
+
+template <int Octaves>
+std::vector<double> row_noise(std::span<const double> xs, double y, std::uint64_t seed)
+{
+    Row_noise<Octaves> noise(y, seed);
+    std::vector<double> out;
+    out.reserve(xs.size());
+    for (const double x : xs) out.push_back(noise(x));
+    return out;
+}
+
 } // namespace
 
 double value_noise(double x, double y, std::uint64_t seed)
 {
+    expect_lattice_domain(x, y, 1);
     const double fx = std::floor(x);
     const double fy = std::floor(y);
     const auto ix = static_cast<std::int64_t>(fx);
@@ -53,6 +146,8 @@ double value_noise(double x, double y, std::uint64_t seed)
 double fractal_noise(double x, double y, std::uint64_t seed, int octaves)
 {
     util::expects(octaves >= 1, "fractal_noise needs at least one octave");
+    // Each octave's value_noise checks its scaled coordinates; the last,
+    // largest one bounds x and y by 2^62 / 2^(octaves-1).
     double amplitude = 0.5;
     double total = 0.0;
     double norm = 0.0;
@@ -65,6 +160,23 @@ double fractal_noise(double x, double y, std::uint64_t seed, int octaves)
     }
     return total / norm;
 }
+
+namespace detail {
+
+std::vector<double> row_fractal_noise(std::span<const double> xs, double y, std::uint64_t seed,
+                                      int octaves)
+{
+    util::expects(octaves >= 1 && octaves <= 4, "row_fractal_noise takes 1 to 4 octaves");
+    for (const double x : xs) expect_lattice_domain(x, y, octaves);
+    switch (octaves) {
+    case 1: return row_noise<1>(xs, y, seed);
+    case 2: return row_noise<2>(xs, y, seed);
+    case 3: return row_noise<3>(xs, y, seed);
+    default: return row_noise<4>(xs, y, seed);
+    }
+}
+
+} // namespace detail
 
 Solid_video::Solid_video(int width, int height, float level, double fps)
     : width_(width), height_(height), level_(level), fps_(fps)
@@ -100,16 +212,39 @@ img::Imagef Still_video::frame(std::int64_t index) const
 }
 
 Sunrise_video::Sunrise_video(int width, int height, double fps, std::uint64_t seed)
-    : width_(width), height_(height), fps_(fps), seed_(seed)
+    : width_(width), height_(height), fps_(fps), seed_(seed),
+      // Rows above the horizon are sky; y < horizon <=> y < ceil(horizon).
+      sky_rows_(std::min(height, static_cast<int>(std::ceil(0.62 * height))))
 {
     util::expects(width > 0 && height > 0, "Sunrise_video dimensions must be positive");
-    util::expects(fps > 0.0, "Sunrise_video fps must be positive");
+    util::expects(std::isfinite(fps) && fps > 0.0, "Sunrise_video fps must be positive and finite");
+}
+
+const std::vector<double>& Sunrise_video::ground_texture() const
+{
+    // Filled on first use rather than in the constructor, so building a
+    // source stays cheap for callers that time their set-up.
+    std::call_once(ground_once_, [this] {
+        ground_texture_.reserve(static_cast<std::size_t>(width_) *
+                                static_cast<std::size_t>(height_ - sky_rows_));
+        for (int y = sky_rows_; y < height_; ++y) {
+            Row_noise<4> texture(static_cast<double>(y) / 7.0, seed_ + 17);
+            for (int x = 0; x < width_; ++x) {
+                ground_texture_.push_back(texture(static_cast<double>(x) / 7.0));
+            }
+        }
+    });
+    return ground_texture_;
 }
 
 img::Imagef Sunrise_video::frame(std::int64_t index) const
 {
     util::expects(index >= 0, "frame index must be non-negative");
     const double t = static_cast<double>(index) / fps_; // seconds
+    // The clouds' x coordinate is the only one that grows with t; checking
+    // the row's last one checks the whole frame.
+    expect_lattice_domain(static_cast<double>(width_ - 1) / 96.0 + t * 0.25,
+                          static_cast<double>(sky_rows_) / 64.0, 3);
     img::Imagef out(width_, height_, 1);
 
     // The sun climbs from below the horizon over ~40 s and the whole sky
@@ -123,37 +258,38 @@ img::Imagef Sunrise_video::frame(std::int64_t index) const
     const double sky_top = 28.0 + 90.0 * progress;     // zenith level
     const double sky_horizon = 90.0 + 120.0 * progress; // glow near horizon
 
-    for (int y = 0; y < height_; ++y) {
+    for (int y = 0; y < sky_rows_; ++y) {
         const double rel = std::clamp(static_cast<double>(y) / horizon, 0.0, 1.0);
         const double sky = sky_top + (sky_horizon - sky_top) * rel * rel;
+        // Drifting clouds: smooth fractal noise, moving slowly.
+        Row_noise<3> clouds(static_cast<double>(y) / 64.0, seed_);
+        const std::span<float> row = out.row(y);
         for (int x = 0; x < width_; ++x) {
-            double level;
-            if (static_cast<double>(y) < horizon) {
-                level = sky;
-                // Drifting clouds: smooth fractal noise, moving slowly.
-                const double cloud = fractal_noise(static_cast<double>(x) / 96.0 + t * 0.25,
-                                                   static_cast<double>(y) / 64.0, seed_, 3);
-                level += (cloud - 0.5) * 46.0;
-                // Sun glow and disc.
-                const double dx = static_cast<double>(x) - sun_x;
-                const double dy = static_cast<double>(y) - sun_y;
-                const double dist = std::sqrt(dx * dx + dy * dy);
-                if (dist < sun_radius) {
-                    level = 235.0 + 20.0 * progress;
-                } else {
-                    level += 160.0 * std::exp(-dist / (sun_radius * 4.0)) * (0.4 + 0.6 * progress);
-                }
+            double level = sky;
+            const double cloud = clouds(static_cast<double>(x) / 96.0 + t * 0.25);
+            level += (cloud - 0.5) * 46.0;
+            // Sun glow and disc.
+            const double dx = static_cast<double>(x) - sun_x;
+            const double dy = static_cast<double>(y) - sun_y;
+            const double dist = std::sqrt(dx * dx + dy * dy);
+            if (dist < sun_radius) {
+                level = 235.0 + 20.0 * progress;
             } else {
-                // Foreground hills: dark with high-frequency texture, the
-                // "high-texture areas" the decoder's de-meaning targets.
-                const double ground = 18.0 + 26.0 * progress;
-                const double texture =
-                    fractal_noise(static_cast<double>(x) / 7.0, static_cast<double>(y) / 7.0,
-                                  seed_ + 17, 4);
-                level = ground + (texture - 0.5) * 38.0;
+                level += 160.0 * std::exp(-dist / (sun_radius * 4.0)) * (0.4 + 0.6 * progress);
             }
-            out(x, y) = static_cast<float>(std::clamp(level, 0.0, 255.0));
+            row[static_cast<std::size_t>(x)] = static_cast<float>(std::clamp(level, 0.0, 255.0));
         }
+    }
+
+    // Foreground hills: dark with high-frequency texture, the "high-texture
+    // areas" the decoder's de-meaning targets. The texture does not move.
+    const double ground = 18.0 + 26.0 * progress;
+    const std::span<const double> texture = ground_texture();
+    const std::span<float> hills = out.values().subspan(
+        static_cast<std::size_t>(width_) * static_cast<std::size_t>(sky_rows_));
+    for (std::size_t i = 0; i < hills.size(); ++i) {
+        const double level = ground + (texture[i] - 0.5) * 38.0;
+        hills[i] = static_cast<float>(std::clamp(level, 0.0, 255.0));
     }
     return out;
 }
@@ -306,23 +442,21 @@ img::Imagef Image_sequence_video::frame(std::int64_t index) const
     return frames_[static_cast<std::size_t>(index) % frames_.size()];
 }
 
-Cached_video::Cached_video(std::shared_ptr<const Video_source> inner, std::size_t capacity)
-    : inner_(std::move(inner)), cache_(capacity)
+Cached_video::Cached_video(std::shared_ptr<const Video_source> inner)
+    : inner_(std::move(inner))
 {
     util::expects(inner_ != nullptr, "Cached_video requires a source");
-    util::expects(capacity >= 1, "Cached_video capacity must be >= 1");
 }
 
 img::Imagef Cached_video::frame(std::int64_t index) const
 {
-    for (const auto& entry : cache_) {
-        if (entry.index == index) return entry.frame;
+    util::expects(index >= 0, "frame index must be non-negative");
+    if (index != index_) {
+        const telemetry::Scoped_span span("video.frame");
+        frame_ = inner_->frame(index);
+        index_ = index;
     }
-    Entry& slot = cache_[next_slot_];
-    next_slot_ = (next_slot_ + 1) % cache_.size();
-    slot.index = index;
-    slot.frame = inner_->frame(index);
-    return slot.frame;
+    return frame_;
 }
 
 } // namespace inframe::video

@@ -17,7 +17,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace inframe::video {
 
@@ -72,7 +75,9 @@ private:
 };
 
 // Procedural sunrise scene: brightening sky gradient, rising sun disc,
-// drifting value-noise clouds, dark textured foreground hills.
+// drifting value-noise clouds, dark textured foreground hills. The hills'
+// texture does not depend on time: the first frame() call computes it once
+// for the source (thread-safe), and every frame reuses it.
 class Sunrise_video final : public Video_source {
 public:
     Sunrise_video(int width, int height, double fps = 30.0, std::uint64_t seed = 1);
@@ -84,10 +89,16 @@ public:
     std::string name() const override { return "sunrise"; }
 
 private:
+    // fractal_noise of the rows below the horizon, row-major.
+    const std::vector<double>& ground_texture() const;
+
     int width_;
     int height_;
     double fps_;
     std::uint64_t seed_;
+    int sky_rows_; // rows above the horizon; the rest are ground
+    mutable std::once_flag ground_once_;
+    mutable std::vector<double> ground_texture_;
 };
 
 // Vertical bars scrolling horizontally: a motion/edge stress input.
@@ -157,12 +168,14 @@ private:
     double fps_;
 };
 
-// Memoizes the most recent frames of a wrapped source. The encoder asks for
-// each video frame refresh_rate/video_fps times in a row; generators are
-// expensive enough that caching matters.
+// Memoizes the most recent frame of a wrapped source. Playback asks for
+// each video frame refresh_rate/video_fps times in a row (4x on the paper's
+// 120 Hz / 30 fps rig), so one entry serves every repeat. A miss records a
+// `video.frame` trace span around the wrapped source's synthesis.
+// Single-consumer: frame() updates the entry without locking.
 class Cached_video final : public Video_source {
 public:
-    explicit Cached_video(std::shared_ptr<const Video_source> inner, std::size_t capacity = 4);
+    explicit Cached_video(std::shared_ptr<const Video_source> inner);
 
     img::Imagef frame(std::int64_t index) const override;
     int width() const override { return inner_->width(); }
@@ -171,14 +184,9 @@ public:
     std::string name() const override { return inner_->name(); }
 
 private:
-    struct Entry {
-        std::int64_t index = -1;
-        img::Imagef frame;
-    };
-
     std::shared_ptr<const Video_source> inner_;
-    mutable std::vector<Entry> cache_;
-    mutable std::size_t next_slot_ = 0;
+    mutable std::int64_t index_ = -1; // no frame held yet
+    mutable img::Imagef frame_;
 };
 
 // Slideshow with hard cuts: cycles through a set of distinct test cards,
@@ -260,9 +268,19 @@ private:
 
 // Smooth 2-D value noise in [0, 1]: random lattice values, bilinear
 // interpolation with a smoothstep fade. Deterministic in (x, y, seed).
+// |x| and |y| must be below 2^62 (so finite).
 double value_noise(double x, double y, std::uint64_t seed);
 
 // Sum of `octaves` value-noise layers with halving amplitude, in [0, 1].
+// Octave o samples at (x, y) * 2^o, so |x| and |y| must be below
+// 2^62 / 2^(octaves-1).
 double fractal_noise(double x, double y, std::uint64_t seed, int octaves);
+
+namespace detail {
+// Test hook: fractal_noise(xs[i], y, seed, octaves) for 1-4 octaves,
+// evaluated by the row-wise noise Sunrise_video synthesizes with.
+std::vector<double> row_fractal_noise(std::span<const double> xs, double y, std::uint64_t seed,
+                                      int octaves);
+} // namespace detail
 
 } // namespace inframe::video

@@ -1,6 +1,7 @@
 // Golden regression vectors: CRC32 fingerprints of the encoder's display
-// frames and of the decoded payload for two frozen reference configs, and
-// bit pins of the flicker assessor (bottom of the file).
+// frames and of the decoded payload for two frozen reference configs, bit
+// pins of the flicker assessor, and CRC32s of synthesized sunrise frames
+// (bottom of the file).
 //
 // These pin the *exact* bit-level behaviour of the whole encode path
 // (chessboard embed, complementary pair, GOB parity) and of the clean
@@ -26,8 +27,13 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -270,5 +276,114 @@ TEST(FlickerGolden, ThreeChannelPairMatchesFrozenBits)
 }
 
 } // namespace flicker_golden
+
+
+// --- sunrise synthesis ---------------------------------------------------
+//
+// CRC32s of Sunrise_video's float sample bits. They were frozen before the
+// sky's clouds moved to a row-wise noise evaluator and the ground texture
+// to a per-source memo, and hold that rewrite to the old bits. Refresh only
+// for an intentional change to the scene, from the values the failing test
+// prints (run: test_core --gtest_filter='SunriseGolden*').
+
+namespace sunrise_golden {
+
+using inframe::video::Cached_video;
+using inframe::video::Sunrise_video;
+
+std::uint32_t frame_crc(const Imagef& frame)
+{
+    const std::span<const std::byte> bytes = std::as_bytes(frame.values());
+    return inframe::util::crc32(
+        {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+}
+
+struct Frame_pin {
+    int width;
+    int height;
+    std::int64_t index;
+    std::uint32_t crc;
+};
+
+// Seed 1 at 30 fps. The 480x270 indices cover the first frame, both sides
+// of a one-second boundary, mid-rise, both sides of the 40 s point where
+// the sun stops climbing, and a frame well past it. The small sizes cover
+// a sky-only frame (1x1), one ground row (17x3) and a size that is not a
+// multiple of the ground texture's 7-px lattice.
+constexpr Frame_pin frame_pins[] = {
+    {480, 270, 0, 0xa9208212u},    {480, 270, 29, 0x3fdcf95au},
+    {480, 270, 30, 0x63c794e0u},   {480, 270, 450, 0x0b5549d9u},
+    {480, 270, 1199, 0x17bcb728u}, {480, 270, 1200, 0x9f64fa49u},
+    {480, 270, 5000, 0x4677979du}, {1, 1, 0, 0xb0cd025du},
+    {1, 1, 450, 0xdea5a134u},      {17, 3, 0, 0x01155061u},
+    {17, 3, 1200, 0xc20dcefdu},    {101, 59, 0, 0x5555ff45u},
+    {101, 59, 450, 0x7aae4c9du},   {101, 59, 5000, 0x90625971u},
+};
+
+std::string label_of(const Frame_pin& pin)
+{
+    return std::to_string(pin.width) + "x" + std::to_string(pin.height) + " frame " +
+           std::to_string(pin.index);
+}
+
+TEST(SunriseGolden, FramesMatchFrozenCrcs)
+{
+    for (const Frame_pin& pin : frame_pins) {
+        // A fresh source per frame: nothing is carried between indices.
+        const Sunrise_video video(pin.width, pin.height, 30.0, 1);
+        const std::uint32_t crc = frame_crc(video.frame(pin.index));
+        EXPECT_EQ(crc, pin.crc) << label_of(pin) << " changed; new CRC 0x" << std::hex << crc;
+    }
+}
+
+TEST(SunriseGolden, ReusedSourceMatchesFreshSource)
+{
+    for (const auto& [width, height] : {std::pair{480, 270}, std::pair{101, 59}}) {
+        const Sunrise_video reused(width, height, 30.0, 1);
+        for (const std::int64_t index : {450, 0, 1200, 29, 5000, 30}) {
+            const Sunrise_video fresh(width, height, 30.0, 1);
+            EXPECT_EQ(frame_crc(reused.frame(index)), frame_crc(fresh.frame(index)))
+                << width << "x" << height << " frame " << index;
+        }
+    }
+}
+
+TEST(SunriseGolden, CachedVideoServesTheBareSourceBits)
+{
+    const auto bare = std::make_shared<Sunrise_video>(101, 59, 30.0, 1);
+    const Cached_video cached(std::make_shared<Sunrise_video>(101, 59, 30.0, 1));
+    // Repeats, rewinds and interleaved indices: every answer must be the
+    // bare source's frame for that index, whatever the cache held before.
+    for (const std::int64_t index : {7, 7, 3, 7, 3, 3, 1200, 0, 1200, 7, 450, 450, 0, 5000, 7}) {
+        EXPECT_EQ(frame_crc(cached.frame(index)), frame_crc(bare->frame(index)))
+            << "frame " << index;
+    }
+}
+
+TEST(SunriseGolden, ConcurrentFirstCallsAgree)
+{
+    // Two threads race into the first frame() calls of one fresh source.
+    const Sunrise_video video(480, 270, 30.0, 1);
+    const std::int64_t indices[] = {0, 450, 1200};
+    std::vector<std::uint32_t> crcs[2];
+    {
+        std::thread a([&] {
+            for (const std::int64_t index : indices) crcs[0].push_back(frame_crc(video.frame(index)));
+        });
+        std::thread b([&] {
+            for (const std::int64_t index : indices) crcs[1].push_back(frame_crc(video.frame(index)));
+        });
+        a.join();
+        b.join();
+    }
+    const Sunrise_video fresh(480, 270, 30.0, 1);
+    for (std::size_t i = 0; i < std::size(indices); ++i) {
+        const std::uint32_t expected = frame_crc(fresh.frame(indices[i]));
+        EXPECT_EQ(crcs[0][i], expected) << "thread 0, frame " << indices[i];
+        EXPECT_EQ(crcs[1][i], expected) << "thread 1, frame " << indices[i];
+    }
+}
+
+} // namespace sunrise_golden
 
 } // namespace

@@ -8,6 +8,7 @@
 #include "core/link_runner.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
+#include "video/playback.hpp"
 #include "video/source.hpp"
 
 #include <gtest/gtest.h>
@@ -328,7 +329,7 @@ const std::set<std::string>& instrumented_spans()
         "video", "encode", "link", "decode", "send", "receive", "produce", "assess",
         // instrumented operations
         "encode.embed", "decode.capture", "decode.finalize", "link.capture",
-        "camera.optics", "pool.batch", "sync.estimate", "hvs.assess",
+        "camera.optics", "pool.batch", "sync.estimate", "hvs.assess", "video.frame",
         // impairment stages
         "timing", "exposure-drift", "shake", "tear", "occlusion"};
     return names;
@@ -424,7 +425,9 @@ TEST(TelemetryContract, FlickerPanelIdenticalWithTelemetryOnOrOff)
             << "observer " << i;
     }
 
-    // One hvs.assess span per observer per display frame.
+    // One hvs.assess span per observer per display frame, and one
+    // video.frame span per distinct video frame: the cached source
+    // synthesizes each once and serves its other refreshes from the cache.
     json::Value trace;
     std::string error;
     ASSERT_TRUE(json::parse(slurp(dir / "trace.json"), trace, &error)) << error;
@@ -432,6 +435,9 @@ TEST(TelemetryContract, FlickerPanelIdenticalWithTelemetryOnOrOff)
     const auto display_frames = std::llround(config.duration_s * config.inframe.display_fps);
     EXPECT_EQ(seen.count("hvs.assess"),
               static_cast<std::size_t>(display_frames * config.observers));
+    const video::Playback_schedule schedule{config.inframe.display_fps, config.inframe.video_fps};
+    const auto video_frames = schedule.video_frame_for_display(display_frames - 1) + 1;
+    EXPECT_EQ(seen.count("video.frame"), static_cast<std::size_t>(video_frames));
 }
 
 } // namespace

@@ -4,11 +4,17 @@
 #include "imgproc/io.hpp"
 #include "imgproc/metrics.hpp"
 #include "util/contract.hpp"
+#include "util/prng.hpp"
 #include "util/stats.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <vector>
 
 namespace {
 
@@ -155,8 +161,9 @@ TEST(CachedVideo, ReturnsSameFrames)
 TEST(CachedVideo, Validation)
 {
     EXPECT_THROW(Cached_video(nullptr), Contract_violation);
-    auto inner = std::make_shared<Solid_video>(8, 8, 1.0f);
-    EXPECT_THROW(Cached_video(inner, 0), Contract_violation);
+    // Before any frame is held, too: the empty entry must not answer -1.
+    Cached_video cached(std::make_shared<Solid_video>(8, 8, 1.0f));
+    EXPECT_THROW(cached.frame(-1), Contract_violation);
 }
 
 TEST(SlideshowVideo, CutsHappenExactlyAtHoldBoundaries)
@@ -273,6 +280,76 @@ TEST(ValueNoise, ContinuousAcrossLatticeCells)
     const double a = value_noise(2.999, 5.5, 11);
     const double b = value_noise(3.001, 5.5, 11);
     EXPECT_NEAR(a, b, 0.02);
+}
+
+TEST(ValueNoise, RejectsCoordinatesOffTheLattice)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {inf, -inf, nan, 0x1.0p62, -0x1.0p62, 2.5e299}) {
+        EXPECT_THROW(value_noise(bad, 0.5, 1), Contract_violation) << bad;
+        EXPECT_THROW(value_noise(0.5, bad, 1), Contract_violation) << bad;
+    }
+    // The largest coordinates below the bound still evaluate.
+    const double edge = std::nextafter(0x1.0p62, 0.0);
+    EXPECT_NO_THROW(value_noise(edge, -edge, 1));
+}
+
+TEST(FractalNoise, RejectsCoordinatesWhoseFinestOctaveLeavesTheLattice)
+{
+    // Octave o samples at x * 2^o: with 4 octaves the bound is 2^59.
+    EXPECT_THROW(fractal_noise(0x1.0p59, 0.0, 1, 4), Contract_violation);
+    EXPECT_THROW(fractal_noise(0.0, -0x1.0p59, 1, 4), Contract_violation);
+    EXPECT_THROW(fractal_noise(std::numeric_limits<double>::quiet_NaN(), 0.0, 1, 1),
+                 Contract_violation);
+    EXPECT_NO_THROW(fractal_noise(std::nextafter(0x1.0p59, 0.0), 0.0, 1, 4));
+    EXPECT_NO_THROW(fractal_noise(0x1.0p59, 0.0, 1, 3));
+}
+
+TEST(SunriseVideo, RejectsTimesThatLeaveTheNoiseLattice)
+{
+    EXPECT_THROW(Sunrise_video(4, 4, std::numeric_limits<double>::infinity()), Contract_violation);
+    EXPECT_THROW(Sunrise_video(4, 4, std::numeric_limits<double>::quiet_NaN()),
+                 Contract_violation);
+    // t = index / fps reaches ~1e300 s: the clouds would sample off the
+    // lattice, so the frame is refused rather than synthesized from UB.
+    const Sunrise_video tiny_rate(4, 4, 1e-300);
+    EXPECT_NO_THROW(tiny_rate.frame(0));
+    EXPECT_THROW(tiny_rate.frame(1), Contract_violation);
+    // A huge index does the same at a slow enough rate; at 30 fps even the
+    // largest index stays on the lattice.
+    constexpr auto last_index = std::numeric_limits<std::int64_t>::max();
+    EXPECT_THROW(Sunrise_video(4, 4, 0.01).frame(last_index), Contract_violation);
+    EXPECT_NO_THROW(Sunrise_video(4, 4).frame(last_index));
+}
+
+TEST(RowNoise, MatchesFractalNoiseBitForBit)
+{
+    // Random rows, seeds and x runs: increasing steps (the synthesis
+    // pattern, crossing cells every few samples), plus jumps backwards and
+    // across zero that leave and re-enter cells.
+    inframe::util::Prng prng(20141027);
+    for (int trial = 0; trial < 400; ++trial) {
+        const int octaves = 1 + trial % 4;
+        const std::uint64_t seed = prng.next_u64();
+        const double y = prng.next_double(-300.0, 300.0);
+        std::vector<double> xs;
+        double x = prng.next_double(-200.0, 200.0);
+        const double step = prng.next_double(0.001, 0.7);
+        for (int i = 0; i < 300; ++i) {
+            xs.push_back(x);
+            x = i % 97 == 96 ? prng.next_double(-200.0, 200.0) : x + step;
+        }
+        const std::vector<double> row = detail::row_fractal_noise(xs, y, seed, octaves);
+        ASSERT_EQ(row.size(), xs.size());
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            const double expected = fractal_noise(xs[i], y, seed, octaves);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(row[i]), std::bit_cast<std::uint64_t>(expected))
+                << "trial " << trial << ", x " << xs[i] << ", y " << y << ", octaves " << octaves;
+        }
+    }
+    EXPECT_THROW(detail::row_fractal_noise({}, 0.0, 1, 0), Contract_violation);
+    EXPECT_THROW(detail::row_fractal_noise({}, 0.0, 1, 5), Contract_violation);
 }
 
 TEST(FractalNoise, BoundedAndOctaveValidation)
