@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Build-and-test matrix: the release build at every SIMD dispatch level the
-# host supports, plus the sanitizer configurations from README.md. Each leg
+# host supports, plus the sanitizer configurations from README.md. Each ISA
+# has one vector level (SSE2 on x86-64, NEON on aarch64), so the release
+# leg's auto-detected run plus its INFRAME_SIMD=scalar re-run cover every
+# level. Each leg
 # is an independent build tree under build-matrix/ so legs can be re-run
 # individually:
 #

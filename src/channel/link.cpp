@@ -11,18 +11,14 @@
 namespace inframe::channel {
 
 Screen_camera_link::Screen_camera_link(Display_params display, Camera_params camera,
-                                       int screen_width, int screen_height)
-    : display_(display), camera_params_(camera), optics_(camera, screen_width, screen_height)
-{
-    util::expects(camera.phase_offset_s >= 0.0, "camera phase offset must be non-negative");
-}
-
-Screen_camera_link::Screen_camera_link(Display_params display, Camera_params camera,
                                        int screen_width, int screen_height,
                                        const Impairment_config& impairments)
-    : Screen_camera_link(display, camera, screen_width, screen_height)
+    : display_(display),
+      camera_params_(camera),
+      optics_(camera, screen_width, screen_height),
+      impairments_(make_impairment_chain(impairments))
 {
-    impairments_ = make_impairment_chain(impairments);
+    util::expects(camera.phase_offset_s >= 0.0, "camera phase offset must be non-negative");
 }
 
 double Screen_camera_link::capture_start(std::int64_t k) const
@@ -180,14 +176,8 @@ void Screen_camera_link::trim_buffer()
 }
 
 std::vector<Capture> run_link(const Display_params& display, const Camera_params& camera,
-                              std::span<const img::Imagef> display_frames)
-{
-    return run_link(display, camera, Impairment_config{}, display_frames);
-}
-
-std::vector<Capture> run_link(const Display_params& display, const Camera_params& camera,
-                              const Impairment_config& impairments,
-                              std::span<const img::Imagef> display_frames)
+                              std::span<const img::Imagef> display_frames,
+                              const Impairment_config& impairments)
 {
     util::expects(!display_frames.empty(), "run_link needs display frames");
     Screen_camera_link link(display, camera, display_frames[0].width(),

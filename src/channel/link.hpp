@@ -39,13 +39,11 @@ struct Capture {
 
 class Screen_camera_link {
 public:
+    // `impairments` describes a fault-injection chain applied to every
+    // completed capture (drops, duplication, drift, shake, tear,
+    // occlusion); the default config builds an empty chain.
     Screen_camera_link(Display_params display, Camera_params camera, int screen_width,
-                       int screen_height);
-
-    // Same link with a fault-injection chain applied to every completed
-    // capture (drops, duplication, drift, shake, tear, occlusion).
-    Screen_camera_link(Display_params display, Camera_params camera, int screen_width,
-                       int screen_height, const Impairment_config& impairments);
+                       int screen_height, const Impairment_config& impairments = {});
 
     // Pushes the next logical display frame (refresh cadence). Returns the
     // captures completed by the end of this refresh interval (usually zero
@@ -92,13 +90,10 @@ private:
 };
 
 // Convenience: run a prepared sequence of display frames through a fresh
-// link and collect all completed captures.
+// link (with the given fault-injection chain on the capture stream) and
+// collect all completed captures.
 std::vector<Capture> run_link(const Display_params& display, const Camera_params& camera,
-                              std::span<const img::Imagef> display_frames);
-
-// Same, with a fault-injection chain on the capture stream.
-std::vector<Capture> run_link(const Display_params& display, const Camera_params& camera,
-                              const Impairment_config& impairments,
-                              std::span<const img::Imagef> display_frames);
+                              std::span<const img::Imagef> display_frames,
+                              const Impairment_config& impairments = {});
 
 } // namespace inframe::channel

@@ -146,26 +146,34 @@ std::vector<double> Inframe_decoder::block_levels(const img::Imagef& capture) co
 
     const auto& g = params_.geometry;
     std::vector<double> levels(static_cast<std::size_t>(g.block_count()), 0.0);
-    // Same block->capture-rectangle mapping as the noise-level detector;
-    // each block writes one slot, so rows fan out with no shared state.
+    // Each block writes one slot, so rows fan out with no shared state.
     util::parallel_for(0, g.blocks_y, 1, [&](std::int64_t by0, std::int64_t by1) {
         for (int by = static_cast<int>(by0); by < static_cast<int>(by1); ++by) {
             for (int bx = 0; bx < g.blocks_x; ++bx) {
-                const auto rect = g.block_rect(bx, by);
-                int cx0 = static_cast<int>(std::ceil(rect.x0 * scale_x_)) + 1;
-                int cy0 = static_cast<int>(std::ceil(rect.y0 * scale_y_)) + 1;
-                int cx1 = static_cast<int>(std::floor((rect.x0 + rect.size) * scale_x_)) - 1;
-                int cy1 = static_cast<int>(std::floor((rect.y0 + rect.size) * scale_y_)) - 1;
-                cx0 = std::clamp(cx0, 0, luma.width() - 1);
-                cy0 = std::clamp(cy0, 0, luma.height() - 1);
-                cx1 = std::clamp(cx1, cx0 + 1, luma.width());
-                cy1 = std::clamp(cy1, cy0 + 1, luma.height());
+                const Capture_rect r = capture_rect(bx, by);
                 levels[static_cast<std::size_t>(g.block_index(bx, by))] =
-                    img::mean_region(luma, cx0, cy0, cx1 - cx0, cy1 - cy0);
+                    img::mean_region(luma, r.x0, r.y0, r.w, r.h);
             }
         }
     });
     return levels;
+}
+
+Inframe_decoder::Capture_rect Inframe_decoder::capture_rect(int bx, int by) const
+{
+    // Block rectangle in capture coordinates, shrunk by one sensor pixel
+    // on each side so neighbouring blocks do not bleed in, and clamped to
+    // at least one pixel inside the capture.
+    const auto rect = params_.geometry.block_rect(bx, by);
+    int cx0 = static_cast<int>(std::ceil(rect.x0 * scale_x_)) + 1;
+    int cy0 = static_cast<int>(std::ceil(rect.y0 * scale_y_)) + 1;
+    int cx1 = static_cast<int>(std::floor((rect.x0 + rect.size) * scale_x_)) - 1;
+    int cy1 = static_cast<int>(std::floor((rect.y0 + rect.size) * scale_y_)) - 1;
+    cx0 = std::clamp(cx0, 0, params_.capture_width - 1);
+    cy0 = std::clamp(cy0, 0, params_.capture_height - 1);
+    cx1 = std::clamp(cx1, cx0 + 1, params_.capture_width);
+    cy1 = std::clamp(cy1, cy0 + 1, params_.capture_height);
+    return {cx0, cy0, cx1 - cx0, cy1 - cy0};
 }
 
 std::vector<double> Inframe_decoder::matched_metrics(const img::Imagef& capture) const
@@ -268,22 +276,10 @@ std::vector<double> Inframe_decoder::noise_level_metrics(const img::Imagef& capt
     util::parallel_for(0, g.blocks_y, 1, [&](std::int64_t by0, std::int64_t by1) {
     for (int by = static_cast<int>(by0); by < static_cast<int>(by1); ++by) {
         for (int bx = 0; bx < g.blocks_x; ++bx) {
-            const auto rect = g.block_rect(bx, by);
-            // Block rectangle in capture coordinates, shrunk by one sensor
-            // pixel on each side so neighbouring blocks do not bleed in.
-            int cx0 = static_cast<int>(std::ceil(rect.x0 * scale_x_)) + 1;
-            int cy0 = static_cast<int>(std::ceil(rect.y0 * scale_y_)) + 1;
-            int cx1 = static_cast<int>(std::floor((rect.x0 + rect.size) * scale_x_)) - 1;
-            int cy1 = static_cast<int>(std::floor((rect.y0 + rect.size) * scale_y_)) - 1;
-            cx0 = std::clamp(cx0, 0, capture.width() - 1);
-            cy0 = std::clamp(cy0, 0, capture.height() - 1);
-            cx1 = std::clamp(cx1, cx0 + 1, capture.width());
-            cy1 = std::clamp(cy1, cy0 + 1, capture.height());
-            const int w = cx1 - cx0;
-            const int h = cy1 - cy0;
-            double metric = img::mean_region(high_band, cx0, cy0, w, h);
+            const Capture_rect r = capture_rect(bx, by);
+            double metric = img::mean_region(high_band, r.x0, r.y0, r.w, r.h);
             if (params_.texture_compensation) {
-                metric -= img::mean_region(mid_band, cx0, cy0, w, h);
+                metric -= img::mean_region(mid_band, r.x0, r.y0, r.w, r.h);
             }
             metrics[static_cast<std::size_t>(g.block_index(bx, by))] = std::max(metric, 0.0);
         }
@@ -351,13 +347,6 @@ Inframe_decoder::split_metrics(std::span<const double> metrics) const
                      && upper_mean >= params_.min_signal_level
                      && dprime >= params_.min_separation_dprime;
     return result;
-}
-
-double Inframe_decoder::select_threshold(std::span<const double> metrics) const
-{
-    if (!params_.auto_threshold) return params_.fixed_threshold;
-    const auto split = split_metrics(metrics);
-    return split.bimodal ? split.value : params_.fixed_threshold;
 }
 
 void Inframe_decoder::set_sync_context(int locked, double offset_s)
@@ -482,7 +471,7 @@ Data_frame_result Inframe_decoder::finalize()
                 }
             }
         };
-        if (params_.auto_threshold && params_.row_adaptive) {
+        if (params_.auto_threshold) {
             // Per block-row split: adapts to rolling-shutter bands. Rows
             // whose classes are inseparable stay unknown.
             const auto row = static_cast<std::size_t>(params_.geometry.blocks_x);
@@ -497,9 +486,8 @@ Data_frame_result Inframe_decoder::finalize()
             }
             result.threshold = chosen.count() > 0 ? chosen.mean() : 0.0;
         } else {
-            const double threshold = select_threshold(metrics);
-            result.threshold = threshold;
-            classify(0, block_count, threshold);
+            result.threshold = params_.fixed_threshold;
+            classify(0, block_count, params_.fixed_threshold);
         }
 
         if (params_.erasure_aware) {

@@ -63,18 +63,15 @@ struct Decoder_params {
     // Subtract the octave-lower residual (texture compensation).
     bool texture_compensation = true;
 
-    // Threshold selection: automatic (Otsu split of the block metrics) or
-    // fixed.
+    // Threshold selection: automatic or fixed. The automatic threshold is
+    // an Otsu split of each block-row's metrics. Rolling shutter cancels
+    // the pattern in horizontal bands (rows whose exposure straddles a
+    // +D/-D boundary); a per-row split adapts to the local pattern
+    // strength and — crucially — marks rows whose two classes are not
+    // separable as unknown instead of reading them as confident all-zeros,
+    // which XOR parity cannot catch.
     bool auto_threshold = true;
     double fixed_threshold = 2.0;
-
-    // With auto thresholding, split each block-row separately. Rolling
-    // shutter cancels the pattern in horizontal bands (rows whose exposure
-    // straddles a +D/-D boundary); a per-row split adapts to the local
-    // pattern strength and — crucially — marks rows whose two classes are
-    // not separable as unknown instead of reading them as confident
-    // all-zeros, which XOR parity cannot catch.
-    bool row_adaptive = true;
 
     // Fraction around the threshold treated as "no confident decision".
     double hysteresis = 0.2;
@@ -166,10 +163,6 @@ public:
     };
     Threshold_split split_metrics(std::span<const double> metrics) const;
 
-    // The threshold that would be chosen for a metric vector (fixed
-    // threshold when auto selection is off or the split is degenerate).
-    double select_threshold(std::span<const double> metrics) const;
-
     // Sync-layer state reported on telemetry frame records: -1 = sync
     // assumed/unknown (the paper's strawman), 0 = searching, 1 = locked
     // at `offset_s`. Synced_decoder keeps this current; plain decoders
@@ -179,6 +172,13 @@ public:
     const Decoder_params& params() const { return params_; }
 
 private:
+    // A block's sampling rectangle on the capture: [x0, x0 + w) x
+    // [y0, y0 + h), never empty.
+    struct Capture_rect {
+        int x0, y0, w, h;
+    };
+    Capture_rect capture_rect(int bx, int by) const;
+
     Data_frame_result finalize();
     std::vector<double> noise_level_metrics(const img::Imagef& capture) const;
     std::vector<double> matched_metrics(const img::Imagef& capture) const;

@@ -25,7 +25,6 @@
 #include "coding/chessboard.hpp"
 #include "coding/parity.hpp"
 #include "coding/reed_solomon.hpp"
-#include "coding/interleaver.hpp"
 #include "coding/framing.hpp"
 #include "hvs/observer.hpp"
 #include "hvs/temporal_model.hpp"

@@ -18,7 +18,7 @@
 namespace inframe::simd {
 namespace {
 
-constexpr int level_count = 4;
+constexpr int level_count = 3;
 
 struct Dispatch_state {
     std::array<Kernels, level_count> tables{};
@@ -31,18 +31,8 @@ struct Dispatch_state {
 bool is_supported_here(Level level)
 {
 #if defined(__x86_64__)
-    switch (level) {
-    case Level::scalar: return true;
-    case Level::sse2: return true; // x86-64 baseline
-    case Level::avx2:
-#if defined(__GNUC__) || defined(__clang__)
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-    case Level::neon: return false;
-    }
-    return false;
+    // SSE2 is part of the x86-64 baseline: no CPUID probe needed.
+    return level == Level::scalar || level == Level::sse2;
 #elif defined(__aarch64__)
     // NEON (ASIMD) is mandatory in AArch64 — no HWCAP probe needed.
     return level == Level::scalar || level == Level::neon;
@@ -55,14 +45,13 @@ Dispatch_state build_state()
 {
     Dispatch_state s;
 
-    // Cumulative composition: each table starts from the previous level's,
-    // so an unsupported-at-compile-time level inherits the best below it.
+    // Each vector table starts from the scalar one, so a kernel a level
+    // does not re-implement falls back to the reference.
     s.tables[int(Level::scalar)] = detail::scalar_table();
     s.tables[int(Level::sse2)] = detail::sse2_table(s.tables[int(Level::scalar)]);
-    s.tables[int(Level::avx2)] = detail::avx2_table(s.tables[int(Level::sse2)]);
     s.tables[int(Level::neon)] = detail::neon_table(s.tables[int(Level::scalar)]);
 
-    for (Level level : {Level::scalar, Level::sse2, Level::avx2, Level::neon}) {
+    for (Level level : {Level::scalar, Level::sse2, Level::neon}) {
         if (is_supported_here(level)) {
             s.available[s.available_count++] = level;
             s.best = level;
@@ -104,7 +93,6 @@ const char* to_string(Level level)
     switch (level) {
     case Level::scalar: return "scalar";
     case Level::sse2: return "sse2";
-    case Level::avx2: return "avx2";
     case Level::neon: return "neon";
     }
     return "unknown";
@@ -141,9 +129,8 @@ Level level_from_name(const std::string& name)
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     if (lower == "scalar") return Level::scalar;
     if (lower == "sse2") return Level::sse2;
-    if (lower == "avx2") return Level::avx2;
     if (lower == "neon") return Level::neon;
-    util::expects(false, "INFRAME_SIMD must be scalar, sse2, avx2, or neon");
+    util::expects(false, "INFRAME_SIMD must be scalar, sse2, or neon");
     return Level::scalar; // unreachable
 }
 

@@ -4,12 +4,13 @@
 // per-block residual accumulation, elementwise image ops, bilinear
 // interpolation, uint8 quantization) funnels through the function-pointer
 // table below. A scalar reference implementation is always built; on
-// x86-64 the SSE2 and (hardware permitting) AVX2 tables are built too, on
+// x86-64 the SSE2 table is built too (SSE2 is the x86-64 baseline), on
 // aarch64 the NEON table. The active table is chosen once, at first use:
 //
-//   INFRAME_SIMD=scalar|sse2|avx2|neon   overrides auto-detection (a level
-//                                        the host cannot run clamps down
-//                                        to the best supported one)
+//   INFRAME_SIMD=scalar|sse2|neon   overrides auto-detection (a level the
+//                                   host cannot run clamps down to the
+//                                   best supported one; any other name
+//                                   throws Contract_violation)
 //
 // Determinism contract: every vector kernel is bit-identical to the
 // scalar reference for finite inputs (integer kernels exactly; float
@@ -29,7 +30,7 @@
 
 namespace inframe::simd {
 
-enum class Level : int { scalar = 0, sse2 = 1, avx2 = 2, neon = 3 };
+enum class Level : int { scalar = 0, sse2 = 1, neon = 2 };
 
 const char* to_string(Level level);
 
@@ -61,7 +62,7 @@ const Kernels& kernels_for(Level level);
 // previous level. Not safe to call concurrently with running kernels.
 Level set_active_level(Level level);
 
-// Parses "scalar" | "sse2" | "avx2" | "neon" (case-insensitive); throws
+// Parses "scalar" | "sse2" | "neon" (case-insensitive); throws
 // Contract_violation on anything else.
 Level level_from_name(const std::string& name);
 

@@ -355,7 +355,7 @@ TEST(LinkLazyOptics, CapturesMatchEagerProjectionBitForBit)
             const std::string label = c.name + ", threads " + std::to_string(threads);
             inframe::telemetry::Registry registry;
             inframe::telemetry::install(&registry);
-            const auto lazy = run_link(display, c.camera, c.impairments, frames);
+            const auto lazy = run_link(display, c.camera, frames, c.impairments);
             inframe::telemetry::install(nullptr);
 
             ASSERT_EQ(lazy.size(), eager.size()) << label;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 namespace {
 
 using namespace inframe::core;
@@ -94,17 +97,35 @@ TEST(Decoder, SplitFlagsUnimodalMetrics)
 
 TEST(Decoder, FixedThresholdUsedWhenAutoDisabled)
 {
-    auto params = small_decoder(small_config());
+    const auto config = small_config();
+    auto params = small_decoder(config);
     params.auto_threshold = false;
     params.fixed_threshold = 3.5;
     Inframe_decoder decoder(params);
-    const std::vector<double> metrics(100, 1.0);
-    EXPECT_DOUBLE_EQ(decoder.select_threshold(metrics), 3.5);
+    const auto pair = make_complementary_pair(config, Imagef(480, 270, 1, 127.0f),
+                                              random_blocks(config, 4));
+    const auto metrics = decoder.block_metrics(pair.plus);
+    decoder.push_capture(pair.plus, 0.0);
+    const auto result = decoder.flush();
+    ASSERT_TRUE(result.has_value());
+    EXPECT_DOUBLE_EQ(result->threshold, 3.5);
+    // Every block is judged against the fixed threshold and its hysteresis
+    // band, whatever the metric distribution would suggest.
+    for (std::size_t b = 0; b < metrics.size(); ++b) {
+        const auto expected = metrics[b] >= 3.5 * (1.0 + params.hysteresis) ? Block_decision::one
+                              : metrics[b] <= 3.5 * (1.0 - params.hysteresis)
+                                  ? Block_decision::zero
+                                  : Block_decision::unknown;
+        EXPECT_EQ(result->decisions[b], expected) << "block " << b;
+    }
 }
 
-TEST(Decoder, EndToEndCleanCaptureDecodesExactly)
+// Encodes one data frame over flat video and feeds every 4th display frame
+// as a clean capture (30 FPS camera, perfectly aligned, no noise); the
+// first decoded data frame must match the encoded block bits exactly.
+void expect_clean_capture_decodes_exactly(const Inframe_config& config,
+                                          const Decoder_params& params)
 {
-    const auto config = small_config();
     Inframe_encoder encoder(config);
     Prng prng(3);
     const auto payload_bits =
@@ -115,10 +136,9 @@ TEST(Decoder, EndToEndCleanCaptureDecodesExactly)
     const auto bits = inframe::coding::encode_gob_parity(config.geometry, payload_bits);
     const Imagef video(480, 270, 1, 127.0f);
 
-    Inframe_decoder decoder(small_decoder(config));
+    Inframe_decoder decoder(params);
     std::vector<Data_frame_result> results;
-    // Display frames 0..7 are data frame 0; feed every 4th frame as a
-    // clean "capture" (30 FPS camera, perfectly aligned, no noise).
+    // Display frames 0..7 are data frame 0.
     for (int j = 0; j < 2 * config.tau; ++j) {
         const Imagef frame = encoder.next_display_frame(video);
         if (j % 4 == 0) {
@@ -136,6 +156,60 @@ TEST(Decoder, EndToEndCleanCaptureDecodesExactly)
         const auto expected = bits[b] ? Block_decision::one : Block_decision::zero;
         EXPECT_EQ(r0.decisions[b], expected) << "block " << b;
     }
+}
+
+TEST(Decoder, EndToEndCleanCaptureDecodesExactly)
+{
+    const auto config = small_config();
+    expect_clean_capture_decodes_exactly(config, small_decoder(config));
+}
+
+// The same clean link decoded with the other settings of the two boolean
+// decoder knobs, (texture_compensation, auto_threshold); the defaults
+// (true, true) are the test above.
+class DecoderKnobs : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(DecoderKnobs, CleanCaptureDecodesExactly)
+{
+    const auto config = small_config();
+    auto params = small_decoder(config);
+    params.texture_compensation = std::get<0>(GetParam());
+    params.auto_threshold = std::get<1>(GetParam());
+    expect_clean_capture_decodes_exactly(config, params);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TextureCompensationByAutoThreshold, DecoderKnobs,
+    ::testing::Values(std::tuple{false, true}, std::tuple{true, false},
+                      std::tuple{false, false}),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+        return std::string(std::get<0>(info.param) ? "texture_on" : "texture_off") + "_"
+               + (std::get<1>(info.param) ? "auto" : "fixed");
+    });
+
+TEST(Decoder, TextureCompensationSubtractsOctaveLowerResidual)
+{
+    // Broadband texture populates the octave-lower residual; compensation
+    // subtracts it, so switching it off must raise the block metrics.
+    const auto config = small_config();
+    Prng prng(8);
+    Imagef video(480, 270, 1, 0.0f);
+    for (auto& v : video.values()) v = static_cast<float>(prng.next_double(60.0, 190.0));
+    const auto pair = make_complementary_pair(config, video, random_blocks(config, 9));
+
+    auto params = small_decoder(config);
+    const auto compensated = Inframe_decoder(params).block_metrics(pair.plus);
+    params.texture_compensation = false;
+    const auto raw = Inframe_decoder(params).block_metrics(pair.plus);
+
+    ASSERT_EQ(compensated.size(), raw.size());
+    double raised = 0.0;
+    for (std::size_t b = 0; b < raw.size(); ++b) {
+        EXPECT_LE(compensated[b], raw[b]) << "block " << b;
+        raised += raw[b] - compensated[b];
+    }
+    // On average the texture adds more than one grey level per block.
+    EXPECT_GT(raised / static_cast<double>(raw.size()), 1.0);
 }
 
 TEST(Decoder, TransitionRegionCapturesDoNotVote)
