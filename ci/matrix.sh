@@ -17,9 +17,11 @@
 #                 green, not just parity-tested (a kernel whose vector
 #                 path works but whose scalar path rotted would otherwise
 #                 only fail on non-SIMD hosts).
-#   tsan          -DINFRAME_SANITIZE=thread,    unit+pipeline+simd labels
-#   asan          -DINFRAME_SANITIZE=address,   unit+pipeline+simd labels
-#   ubsan         -DINFRAME_SANITIZE=undefined, unit+pipeline+simd labels
+#   tsan          -DINFRAME_SANITIZE=thread,    unit+pipeline+simd+fault+telemetry
+#   asan          -DINFRAME_SANITIZE=address,   unit+pipeline+simd+fault+telemetry
+#   ubsan         -DINFRAME_SANITIZE=undefined, unit+pipeline+simd+fault+telemetry
+#                 labels (fault is the decoder fuzz suite; telemetry the
+#                 trace/record exporters, which run under every stage thread)
 #
 # Every sanitizer leg also re-runs the simd label under INFRAME_SIMD=scalar:
 # the scalar reference kernels are exactly what the differential harness
@@ -50,7 +52,7 @@ run_leg() {
             -j "${jobs}" -L 'unit|pipeline|simd|property|fault|telemetry'
     else
         ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-            -L 'unit|pipeline|simd'
+            -L 'unit|pipeline|simd|fault|telemetry'
         echo "--- ${name}: simd suite again with INFRAME_SIMD=scalar ---"
         INFRAME_SIMD=scalar ctest --test-dir "${build}" --output-on-failure \
             -j "${jobs}" -L simd

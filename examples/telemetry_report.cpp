@@ -6,8 +6,8 @@
 // Reads the three artifacts a telemetry::Session writes (trace.json,
 // frames.jsonl, metrics.json) through the same telemetry::json reader the
 // smoke tests use and prints: span totals by name, counter and gauge
-// values, histogram summaries, the per-frame decode story (sync state,
-// erasure/parity-fill rates, confidence-margin distribution) and the
+// values, histogram summaries, the per-frame decode story
+// (erasure/parity-fill rates, confidence-margin distribution) and the
 // impairment event log.
 
 #include "telemetry/json.hpp"
@@ -142,7 +142,7 @@ void report_frames(const std::string& dir)
         return;
     }
 
-    std::int64_t frames = 0, locked = 0;
+    std::int64_t frames = 0;
     double blocks_total = 0.0, blocks_unknown = 0.0, blocks_erased = 0.0, blocks_occluded = 0.0;
     double gobs_total = 0.0, gobs_available = 0.0, gobs_parity_ok = 0.0, gobs_recovered = 0.0;
     std::vector<double> margin_hist;
@@ -155,7 +155,6 @@ void report_frames(const std::string& dir)
         }
         if (type != "frame") continue;
         ++frames;
-        if (line.number_or("sync_locked", -1.0) > 0.0) ++locked;
         blocks_total += line.number_or("blocks_total", 0.0);
         blocks_unknown += line.number_or("blocks_unknown", 0.0);
         blocks_erased += line.number_or("blocks_erased", 0.0);
@@ -173,8 +172,7 @@ void report_frames(const std::string& dir)
         }
     }
 
-    std::printf("frames: %lld decoded, %lld sync-locked\n", static_cast<long long>(frames),
-                static_cast<long long>(locked));
+    std::printf("frames: %lld decoded\n", static_cast<long long>(frames));
     if (frames > 0) {
         util::Table table({"per-frame quantity", "mean", "rate"});
         const double n = static_cast<double>(frames);

@@ -6,6 +6,7 @@
 #include "imgproc/resize.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/contract.hpp"
+#include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
 #include <cmath>
@@ -115,11 +116,6 @@ std::uint64_t mix64(std::uint64_t x)
 }
 
 } // namespace
-
-void apply_sensor_noise(img::Imagef& integrated, const Camera_params& params, util::Prng& prng)
-{
-    sensor_electronics_span(integrated.values(), params, prng);
-}
 
 std::uint64_t row_noise_seed(std::uint64_t seed, std::int64_t capture_index, int row)
 {

@@ -15,7 +15,6 @@
 
 #include "imgproc/image.hpp"
 #include "imgproc/warp.hpp"
-#include "util/prng.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -95,16 +94,11 @@ private:
 
 // Applies the sensor electronics to an integrated irradiance image:
 // shot noise, read noise, gain, clamp, optional quantization. Mutates the
-// image in place; prng supplies the noise stream.
-void apply_sensor_noise(img::Imagef& integrated, const Camera_params& params,
-                        util::Prng& prng);
-
-// Per-row variant used by the parallel exposure pipeline: row r of capture
-// k draws from an independent PRNG stream seeded from (seed, k, r), so the
-// noise field is a pure function of the capture — identical for every
-// thread count and for out-of-order row processing. This is the seeding
-// contract the determinism tests rely on (DESIGN.md, "Threading model &
-// determinism").
+// image in place. Row r of capture k draws from an independent PRNG stream
+// seeded from (seed, k, r), so the noise field is a pure function of the
+// capture — identical for every thread count and for out-of-order row
+// processing. This is the seeding contract the determinism tests rely on
+// (DESIGN.md, "Threading model & determinism").
 void apply_sensor_noise_rows(img::Imagef& integrated, const Camera_params& params,
                              std::int64_t capture_index);
 

@@ -6,7 +6,7 @@
 // receiver recovers the homography from one capture: threshold, take the
 // bright-pixel centroid in each capture quadrant, and fit the projective
 // map through the four correspondences. This is how a deployment would
-// bootstrap before `Synced_decoder` takes over.
+// bootstrap before data decoding starts.
 #pragma once
 
 #include "coding/geometry.hpp"

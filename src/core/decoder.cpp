@@ -349,12 +349,6 @@ Inframe_decoder::split_metrics(std::span<const double> metrics) const
     return result;
 }
 
-void Inframe_decoder::set_sync_context(int locked, double offset_s)
-{
-    sync_locked_ = locked;
-    sync_offset_s_ = offset_s;
-}
-
 std::vector<Data_frame_result> Inframe_decoder::push_capture(const img::Imagef& capture,
                                                              double start_time)
 {
@@ -524,8 +518,6 @@ Data_frame_result Inframe_decoder::finalize()
             record.gobs_parity_ok += gob.parity_ok ? 1 : 0;
             record.gobs_recovered += gob.recovered ? 1 : 0;
         }
-        record.sync_locked = sync_locked_;
-        record.sync_offset_s = sync_offset_s_;
         telemetry::emit_frame(record);
     }
 

@@ -163,12 +163,6 @@ public:
     };
     Threshold_split split_metrics(std::span<const double> metrics) const;
 
-    // Sync-layer state reported on telemetry frame records: -1 = sync
-    // assumed/unknown (the paper's strawman), 0 = searching, 1 = locked
-    // at `offset_s`. Synced_decoder keeps this current; plain decoders
-    // stay at the default -1. Observational only — decoding ignores it.
-    void set_sync_context(int locked, double offset_s);
-
     const Decoder_params& params() const { return params_; }
 
 private:
@@ -201,8 +195,6 @@ private:
     std::vector<double> metric_sum_;
     std::vector<double> level_sum_; // erasure-aware mode only
     int captures_in_frame_ = 0;
-    int sync_locked_ = -1;          // telemetry only; see set_sync_context
-    double sync_offset_s_ = 0.0;
 };
 
 } // namespace inframe::core

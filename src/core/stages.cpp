@@ -78,15 +78,10 @@ void Encode_stage::top_up()
     }
 }
 
-img::Imagef Encode_stage::encode(const img::Imagef& video_frame)
-{
-    top_up();
-    return encoder_.next_display_frame(video_frame);
-}
-
 std::vector<Frame_token> Encode_stage::push(Frame_token token)
 {
-    img::Imagef display = encode(token.image);
+    top_up();
+    img::Imagef display = encoder_.next_display_frame(token.image);
     if (options_.emit_reference) {
         recycle(std::move(token.reference));
         token.reference = std::move(token.image);

@@ -73,11 +73,6 @@ public:
     const char* name() const override { return "encode"; }
     std::vector<Frame_token> push(Frame_token token) override;
 
-    // Top-up + next_display_frame, for drivers that must pre-roll the
-    // encoder outside a running pipeline (the sync-acquisition bench
-    // discards the first N display frames before the link starts).
-    img::Imagef encode(const img::Imagef& video_frame);
-
     Inframe_encoder& encoder() { return encoder_; }
     const Inframe_encoder& encoder() const { return encoder_; }
 

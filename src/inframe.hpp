@@ -11,7 +11,6 @@
 #include "core/encoder.hpp"     // Inframe_encoder, make_complementary_pair
 #include "core/decoder.hpp"     // Inframe_decoder, Detector
 #include "core/session.hpp"     // Inframe_sender / Inframe_receiver, Frame_codec
-#include "core/sync.hpp"        // Phase_estimator, Synced_decoder
 #include "core/calibration.hpp" // viewing-geometry bootstrap
 #include "core/link_runner.hpp" // experiment harnesses
 #include "core/pipeline.hpp"    // stage-graph runtime (Pipeline, Stage)

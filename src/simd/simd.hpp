@@ -10,7 +10,10 @@
 //   INFRAME_SIMD=scalar|sse2|neon   overrides auto-detection (a level the
 //                                   host cannot run clamps down to the
 //                                   best supported one; any other name
-//                                   throws Contract_violation)
+//                                   throws Contract_violation, which the
+//                                   benches and examples turn into exit
+//                                   status 2 at startup:
+//                                   telemetry::config_from_args)
 //
 // Determinism contract: every vector kernel is bit-identical to the
 // scalar reference for finite inputs (integer kernels exactly; float

@@ -1,8 +1,13 @@
 #include "telemetry/telemetry.hpp"
 
+#include "simd/simd.hpp"
+#include "util/contract.hpp"
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -403,8 +408,6 @@ void Registry::write_frames_jsonl(std::ostream& out) const
             << ",\"gobs_available\":" << f.gobs_available
             << ",\"gobs_parity_ok\":" << f.gobs_parity_ok
             << ",\"gobs_recovered\":" << f.gobs_recovered
-            << ",\"sync_locked\":" << f.sync_locked
-            << ",\"sync_offset_s\":" << json_number(f.sync_offset_s)
             << ",\"margin_hist\":[";
         for (int b = 0; b < Frame_record::margin_buckets; ++b) {
             if (b) out << ",";
@@ -482,6 +485,19 @@ bool Registry::write_all(const std::string& dir) const
 
 Config config_from_args(int argc, char** argv)
 {
+    // The dispatch layer reads INFRAME_SIMD at the first kernel call, where
+    // an unknown name throws out of whatever stage ran first. Every bench
+    // and example parses its arguments before any kernel runs, so reject
+    // it here.
+    if (const char* env = std::getenv("INFRAME_SIMD"); env != nullptr && env[0] != '\0') {
+        try {
+            simd::level_from_name(env);
+        }
+        catch (const util::Contract_violation& error) {
+            std::fprintf(stderr, "error: INFRAME_SIMD=%s: %s\n", env, error.what());
+            std::exit(2);
+        }
+    }
     Config config;
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::strcmp(argv[i], "--trace") == 0) config.trace_dir = argv[i + 1];

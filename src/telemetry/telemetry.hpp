@@ -12,9 +12,8 @@
 //      chrome://tracing).
 //   3. Per-frame decode diagnostics — one Frame_record per finalized data
 //      frame (threshold, unknown/erasure/occlusion counts, GOB
-//      availability and parity fills, confidence-margin histogram, sync
-//      lock state) plus free-form events (impairment firings, sync
-//      lock/loss), streamed to frames.jsonl.
+//      availability and parity fills, confidence-margin histogram) plus
+//      free-form events (impairment firings), streamed to frames.jsonl.
 //
 // Determinism contract: telemetry is pure observation. It draws no random
 // numbers, reorders no work and mutates no pipeline state, so decoded
@@ -157,12 +156,6 @@ struct Frame_record {
     int gobs_parity_ok = 0;
     int gobs_recovered = 0;   // single-erasure GOBs filled via parity
 
-    // Lock state of the phase-sync layer feeding this decoder:
-    // -1 = sync assumed/unknown (the paper's strawman), 0 = searching,
-    // 1 = locked at sync_offset_s.
-    int sync_locked = -1;
-    double sync_offset_s = 0.0;
-
     // Confidence margins |metric - threshold| / threshold of every block
     // that saw a threshold, in log2 buckets: bucket 0 collects margins
     // below 2^-7, bucket b covers [2^(b-8), 2^(b-7)), bucket 15 collects
@@ -177,9 +170,8 @@ struct Frame_record {
 void emit_frame(const Frame_record& record);
 
 // Free-form event, streamed to frames.jsonl as {"type":"event",...}.
-// Impairment firings (drop/duplicate/tear/occlusion) and sync lock/loss
-// transitions use this; `index` is the capture or frame index the event
-// belongs to.
+// Impairment firings (drop/duplicate/tear) use this; `index` is the
+// capture or frame index the event belongs to.
 struct Event {
     const char* category = "";
     const char* name = "";
@@ -266,7 +258,8 @@ struct Config {
     bool enabled() const { return !trace_dir.empty(); }
 };
 
-// Parses `--trace <dir>` out of argv (examples and benches).
+// Parses `--trace <dir>` out of argv (examples and benches). Also checks
+// INFRAME_SIMD: an unknown level name exits with status 2.
 Config config_from_args(int argc, char** argv);
 
 // RAII scope: owns a Registry, installs it on construction and, on

@@ -12,7 +12,6 @@ namespace {
 using namespace inframe::channel;
 using inframe::img::Imagef;
 using inframe::util::Contract_violation;
-using inframe::util::Prng;
 
 Camera_params clean_camera(int sw, int sh)
 {
@@ -106,8 +105,7 @@ TEST(SensorNoise, CleanConfigurationIsIdentity)
 {
     auto params = clean_camera(8, 8);
     Imagef image(8, 8, 1, 77.25f);
-    Prng prng(1);
-    apply_sensor_noise(image, params, prng);
+    apply_sensor_noise_rows(image, params, 0);
     for (const float v : image.values()) EXPECT_FLOAT_EQ(v, 77.25f);
 }
 
@@ -116,8 +114,7 @@ TEST(SensorNoise, QuantizationRounds)
     auto params = clean_camera(8, 8);
     params.quantize = true;
     Imagef image(8, 8, 1, 77.25f);
-    Prng prng(1);
-    apply_sensor_noise(image, params, prng);
+    apply_sensor_noise_rows(image, params, 0);
     for (const float v : image.values()) EXPECT_FLOAT_EQ(v, 77.0f);
 }
 
@@ -126,9 +123,9 @@ TEST(SensorNoise, ReadNoiseHasConfiguredSpread)
     auto params = clean_camera(64, 64);
     params.read_noise_sigma = 3.0;
     params.quantize = false;
+    params.seed = 2;
     Imagef image(64, 64, 1, 128.0f);
-    Prng prng(2);
-    apply_sensor_noise(image, params, prng);
+    apply_sensor_noise_rows(image, params, 0);
     inframe::util::Running_stats stats;
     for (const float v : image.values()) stats.add(v);
     EXPECT_NEAR(stats.mean(), 128.0, 0.5);
@@ -140,12 +137,12 @@ TEST(SensorNoise, ShotNoiseGrowsWithLevel)
     auto params = clean_camera(64, 64);
     params.shot_noise_scale = 0.5;
     params.quantize = false;
+    params.seed = 3;
     Imagef dim(64, 64, 1, 20.0f);
     Imagef bright(64, 64, 1, 220.0f);
-    Prng prng_a(3);
-    Prng prng_b(3);
-    apply_sensor_noise(dim, params, prng_a);
-    apply_sensor_noise(bright, params, prng_b);
+    // Same capture index: both images draw the same noise streams.
+    apply_sensor_noise_rows(dim, params, 0);
+    apply_sensor_noise_rows(bright, params, 0);
     inframe::util::Running_stats s_dim;
     inframe::util::Running_stats s_bright;
     for (const float v : dim.values()) s_dim.add(v);
@@ -203,8 +200,7 @@ TEST(SensorNoise, GainScalesAndClamps)
     auto params = clean_camera(4, 4);
     params.gain = 2.0;
     Imagef image(4, 4, 1, 150.0f);
-    Prng prng(4);
-    apply_sensor_noise(image, params, prng);
+    apply_sensor_noise_rows(image, params, 4);
     for (const float v : image.values()) EXPECT_FLOAT_EQ(v, 255.0f);
 }
 

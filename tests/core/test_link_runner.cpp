@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 namespace {
 
 using namespace inframe;
@@ -111,6 +114,61 @@ TEST(LinkRunner, DeterministicForFixedSeeds)
     EXPECT_DOUBLE_EQ(a.goodput_kbps, b.goodput_kbps);
     EXPECT_DOUBLE_EQ(a.available_gob_ratio, b.available_gob_ratio);
 }
+
+// --- erasure-aware decoding on an impaired link -----------------------------
+
+// Textured video, two occluders and capture drops: occluded and ambiguous
+// blocks give the erasure-aware path single-erasure GOBs to fill.
+Link_experiment_config impaired_rig(Detector detector, bool erasure_aware)
+{
+    Link_experiment_config config;
+    config.video = video::make_sunrise_video(480, 270);
+    config.inframe = paper_config(480, 270);
+    config.inframe.geometry = coding::fitted_geometry(480, 270, 2);
+    config.inframe.tau = 12;
+    config.camera.sensor_width = 480;
+    config.camera.sensor_height = 270;
+    config.auto_exposure = false;
+    config.impairments.drop_probability = 0.1;
+    config.impairments.occlusion_fraction = 0.08;
+    config.impairments.occlusion_count = 2;
+    config.detector = detector;
+    config.erasure_aware = erasure_aware;
+    config.duration_s = 1.0;
+    return config;
+}
+
+class ImpairedLinkKnobs : public ::testing::TestWithParam<std::tuple<Detector, bool>> {};
+
+TEST_P(ImpairedLinkKnobs, ErasureAwareFlagReachesTheDecoder)
+{
+    const auto [detector, erasure_aware] = GetParam();
+    const auto result = run_link_experiment(impaired_rig(detector, erasure_aware));
+    const auto other = run_link_experiment(impaired_rig(detector, !erasure_aware));
+    ASSERT_GT(result.data_frames, 0);
+    // Only the erasure-aware path fills GOBs from parity.
+    if (erasure_aware) {
+        EXPECT_GT(result.recovered_gob_ratio, 0.0);
+    }
+    else {
+        EXPECT_EQ(result.recovered_gob_ratio, 0.0);
+    }
+    // The two settings must decode the same captures differently.
+    EXPECT_FALSE(result.payload_bit_error_rate == other.payload_bit_error_rate
+                 && result.unknown_block_ratio == other.unknown_block_ratio)
+        << "payload BER " << result.payload_bit_error_rate << ", unknown ratio "
+        << result.unknown_block_ratio << " at both settings";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DetectorByErasureAware, ImpairedLinkKnobs,
+    ::testing::Combine(::testing::Values(Detector::noise_level, Detector::matched),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<Detector, bool>>& info) {
+        return std::string(std::get<0>(info.param) == Detector::matched ? "matched"
+                                                                        : "noise_level")
+               + (std::get<1>(info.param) ? "_erasure" : "_hard");
+    });
 
 TEST(FlickerRunner, InframeEncodingIsNearInvisible)
 {

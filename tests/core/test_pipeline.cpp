@@ -322,12 +322,17 @@ TEST(Pipeline, LazyPayloadSourceMatchesUpfrontQueueing)
     const img::Imagef video(width, height, 1, 127.0f);
     for (int j = 0; j < 2 * config.tau; ++j) {
         const auto expected = upfront.next_display_frame(video);
-        auto actual = lazy.encode(video);
+        core::Frame_token token;
+        token.index = j;
+        token.image = video;
+        auto out = lazy.push(std::move(token));
+        ASSERT_EQ(out.size(), 1u) << "display frame " << j;
+        const img::Imagef& actual = out.front().image;
         ASSERT_EQ(actual.values().size(), expected.values().size());
         for (std::size_t i = 0; i < expected.values().size(); ++i) {
             ASSERT_EQ(actual.values()[i], expected.values()[i]) << "display frame " << j;
         }
-        img::Frame_pool::instance().recycle(std::move(actual));
+        img::Frame_pool::instance().recycle(std::move(out.front().image));
     }
 }
 

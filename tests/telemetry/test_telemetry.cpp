@@ -329,7 +329,7 @@ const std::set<std::string>& instrumented_spans()
         "video", "encode", "link", "decode", "send", "receive", "produce", "assess",
         // instrumented operations
         "encode.embed", "decode.capture", "decode.finalize", "link.capture",
-        "camera.optics", "pool.batch", "sync.estimate", "hvs.assess", "video.frame",
+        "camera.optics", "pool.batch", "hvs.assess", "video.frame",
         // impairment stages
         "timing", "exposure-drift", "shake", "tear", "occlusion"};
     return names;
