@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <vector>
 
 namespace inframe::bench {
 
@@ -21,16 +22,6 @@ namespace inframe::bench {
 //   (none)  : default, balances fidelity and runtime
 //   --full  : longest runs (closest statistics)
 enum class Run_scale { smoke, quick, normal, full };
-
-inline Run_scale parse_scale(int argc, char** argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) return Run_scale::smoke;
-        if (std::strcmp(argv[i], "--quick") == 0) return Run_scale::quick;
-        if (std::strcmp(argv[i], "--full") == 0) return Run_scale::full;
-    }
-    return Run_scale::normal;
-}
 
 inline double scale_duration(Run_scale scale, double quick, double normal, double full)
 {
@@ -57,15 +48,64 @@ struct Args {
     telemetry::Config telemetry;
 };
 
+// The shared flags above, listed once: parse_args reads them, and
+// bench_micro_kernels strips them (with their values) before
+// google-benchmark, which aborts on flags it does not know, sees argv.
+struct Flag {
+    const char* name;
+    bool takes_value; // the next argument is the flag's value
+    void (*apply)(Args& args, const char* value);
+};
+
+inline constexpr Flag shared_flags[] = {
+    {"--smoke", false, [](Args& args, const char*) { args.scale = Run_scale::smoke; }},
+    {"--quick", false, [](Args& args, const char*) { args.scale = Run_scale::quick; }},
+    {"--full", false, [](Args& args, const char*) { args.scale = Run_scale::full; }},
+    {"--csv", true, [](Args& args, const char* dir) { args.csv_dir = dir; }},
+    // Read by telemetry::config_from_args, which also vets INFRAME_SIMD.
+    {"--trace", true, nullptr},
+};
+
+inline const Flag* find_shared_flag(const char* arg)
+{
+    for (const Flag& flag : shared_flags) {
+        if (std::strcmp(arg, flag.name) == 0) return &flag;
+    }
+    return nullptr;
+}
+
 inline Args parse_args(int argc, char** argv)
 {
     Args args;
-    args.scale = parse_scale(argc, argv);
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--csv") == 0) args.csv_dir = argv[i + 1];
-    }
     args.telemetry = telemetry::config_from_args(argc, argv);
+    for (int i = 1; i < argc; ++i) {
+        const Flag* flag = find_shared_flag(argv[i]);
+        if (flag == nullptr) continue;
+        const char* value = nullptr;
+        if (flag->takes_value) {
+            if (i + 1 == argc) break;
+            value = argv[++i];
+        }
+        if (flag->apply != nullptr) flag->apply(args, value);
+    }
     return args;
+}
+
+// argv without the shared flags and their values, null-terminated.
+inline std::vector<char*> without_shared_flags(int argc, char** argv)
+{
+    std::vector<char*> rest;
+    for (int i = 0; i < argc; ++i) {
+        const Flag* flag = find_shared_flag(argv[i]);
+        if (flag == nullptr) {
+            rest.push_back(argv[i]);
+        }
+        else if (flag->takes_value) {
+            ++i;
+        }
+    }
+    rest.push_back(nullptr);
+    return rest;
 }
 
 inline void print_header(const char* figure, const char* paper_statement)

@@ -27,7 +27,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -246,16 +245,12 @@ void run_simd_speedup_table(const bench::Args& args)
     std::vector<float> fb(n);
     std::vector<float> fout(n);
     std::vector<double> dacc(n);
-    std::vector<std::uint8_t> ua(n);
-    std::vector<std::uint8_t> ub(n);
     std::vector<std::uint8_t> uout(n);
     std::vector<std::uint32_t> mask(n);
     for (int i = 0; i < n; ++i) {
         fa[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
         fb[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
         dacc[static_cast<std::size_t>(i)] = prng.next_double(0, 1.0e6);
-        ua[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(prng.next_int(0, 255));
-        ub[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(prng.next_int(0, 255));
         mask[static_cast<std::size_t>(i)] = (i & 1) ? ~std::uint32_t{0} : 0u;
     }
 
@@ -296,12 +291,6 @@ void run_simd_speedup_table(const bench::Args& args)
         {"absdiff_f32",
          [&](const Kernels& k) { k.absdiff_f32(fa.data(), fb.data(), fout.data(), n); }},
         {"quantize_u8", [&](const Kernels& k) { k.quantize_u8(fa.data(), uout.data(), n); }},
-        {"add_sat_u8",
-         [&](const Kernels& k) { k.add_sat_u8(ua.data(), ub.data(), uout.data(), n); }},
-        {"residual_energy_u8",
-         [&](const Kernels& k) {
-             benchmark::DoNotOptimize(k.residual_energy_u8(ua.data(), ub.data(), n));
-         }},
         {"row_sum_f64",
          [&](const Kernels& k) { benchmark::DoNotOptimize(k.row_sum_f64(fa.data(), n)); }},
         {"vblur_update",
@@ -349,30 +338,17 @@ void run_simd_speedup_table(const bench::Args& args)
 } // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the shared bench flags
-// (--csv/--smoke/--quick/--full/--trace) are stripped before
-// benchmark::Initialize sees the command line (google-benchmark aborts on
-// flags it does not know), the google-benchmark suites run as before, and
-// the scalar-vs-SIMD speedup table is appended to every run.
+// (bench::shared_flags) are stripped before benchmark::Initialize sees the
+// command line (google-benchmark aborts on flags it does not know), the
+// google-benchmark suites run as before, and the scalar-vs-SIMD speedup
+// table is appended to every run.
 int main(int argc, char** argv)
 {
     const inframe::bench::Args args = inframe::bench::parse_args(argc, argv);
+    inframe::telemetry::Session telemetry_session(args.telemetry);
 
-    std::vector<char*> bench_argv;
-    for (int i = 0; i < argc; ++i) {
-        const bool flag_only = std::strcmp(argv[i], "--smoke") == 0
-                               || std::strcmp(argv[i], "--quick") == 0
-                               || std::strcmp(argv[i], "--full") == 0;
-        const bool flag_value = std::strcmp(argv[i], "--csv") == 0
-                                || std::strcmp(argv[i], "--trace") == 0;
-        if (flag_only) continue;
-        if (flag_value) {
-            ++i; // skip the value too
-            continue;
-        }
-        bench_argv.push_back(argv[i]);
-    }
-    int bench_argc = static_cast<int>(bench_argv.size());
-    bench_argv.push_back(nullptr);
+    std::vector<char*> bench_argv = inframe::bench::without_shared_flags(argc, argv);
+    int bench_argc = static_cast<int>(bench_argv.size()) - 1;
 
     benchmark::Initialize(&bench_argc, bench_argv.data());
     if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 1;

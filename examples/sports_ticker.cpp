@@ -12,6 +12,7 @@
 // Encode_stage the current update's parts just-in-time, and a sink stage
 // reassembles and timestamps them.
 
+#include "coding/framing.hpp"
 #include "core/pipeline.hpp"
 #include "core/session.hpp"
 #include "core/stages.hpp"
@@ -104,9 +105,8 @@ int main(int argc, char** argv)
     // finish its carousel inside the 2 s it stays current. A third of the
     // codeword in parity is plenty on this clean link and fits an update
     // in a handful of parts.
-    core::Session_options protection;
-    protection.rs_parity_fraction = 0.35;
-    const core::Frame_codec codec(config.geometry.payload_bits_per_frame(), protection);
+    const auto codec =
+        coding::Rs_framer::for_parity_fraction(config.geometry.payload_bits_per_frame(), 0.35);
     const auto part_bytes = static_cast<std::size_t>(codec.max_payload_bytes()) - 3;
 
     channel::Display_params display;

@@ -5,8 +5,9 @@
 //
 // Reads the three artifacts a telemetry::Session writes (trace.json,
 // frames.jsonl, metrics.json) through the same telemetry::json reader the
-// smoke tests use and prints: span totals by name, counter and gauge
-// values, histogram summaries, the per-frame decode story
+// smoke tests use and prints: span totals by name (with each name's share
+// of wall time: the union of its spans over the trace's extent), counter
+// and gauge values, histogram summaries, the per-frame decode story
 // (erasure/parity-fill rates, confidence-margin distribution) and the
 // impairment event log.
 
@@ -55,6 +56,7 @@ void report_spans(const std::string& dir)
         std::int64_t count = 0;
         double total_us = 0.0;
         double max_us = 0.0;
+        std::vector<std::pair<double, double>> intervals; // [start, end) in us
     };
     std::map<std::string, Tally> by_name;
     double first_ts = 0.0, last_end = 0.0;
@@ -67,6 +69,7 @@ void report_spans(const std::string& dir)
         ++tally.count;
         tally.total_us += dur;
         tally.max_us = std::max(tally.max_us, dur);
+        tally.intervals.emplace_back(ts, ts + dur);
         if (!any || ts < first_ts) first_ts = ts;
         last_end = std::max(last_end, ts + dur);
         any = true;
@@ -78,10 +81,20 @@ void report_spans(const std::string& dir)
     std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
         return a.second.total_us > b.second.total_us;
     });
-    for (const auto& [name, tally] : sorted) {
+    for (auto& [name, tally] : sorted) {
+        // Share of wall is the time at least one span of this name was
+        // open: spans that overlap on several threads count once, so the
+        // share never exceeds 1.
+        std::sort(tally.intervals.begin(), tally.intervals.end());
+        double covered_us = 0.0;
+        double covered_to = tally.intervals.front().first;
+        for (const auto& [start, end] : tally.intervals) {
+            covered_us += std::max(0.0, end - std::max(start, covered_to));
+            covered_to = std::max(covered_to, end);
+        }
         table.add_row({name, tally.count, tally.total_us / 1000.0,
                        tally.total_us / static_cast<double>(tally.count), tally.max_us,
-                       wall_us > 0.0 ? tally.total_us / wall_us : 0.0});
+                       wall_us > 0.0 ? covered_us / wall_us : 0.0});
     }
     table.print(std::cout);
     std::printf("\n");

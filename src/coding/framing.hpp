@@ -3,13 +3,13 @@
 // The paper transmits raw pseudo-random data frames; a usable link needs
 // structure on top: each data frame carries a small header (magic,
 // sequence number, payload length) and a CRC-32 so the receiver can
-// reassemble a byte stream and discard corrupted frames. An optional
-// Reed-Solomon mode wraps the payload so scattered bit errors are
-// corrected rather than dropping the whole frame.
+// reassemble a byte stream and discard corrupted frames. Header and
+// payload are wrapped in a Reed-Solomon codeword (the "common ECC such as
+// RS code" the paper leaves to the layer above GOB parity, 3.3), so
+// scattered bit errors are corrected rather than dropping the whole frame.
 #pragma once
 
 #include "coding/reed_solomon.hpp"
-#include "util/prng.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -17,37 +17,6 @@
 #include <vector>
 
 namespace inframe::coding {
-
-class Payload_framer {
-public:
-    // capacity_bits: bits one data frame carries (payload_bits_per_frame).
-    explicit Payload_framer(int capacity_bits);
-
-    static constexpr std::uint16_t magic = 0x1f7a;
-
-    // Header: magic(16) + sequence(32) + payload_bytes(16) + crc32(32).
-    static constexpr int header_bits = 96;
-
-    int capacity_bits() const { return capacity_bits_; }
-    int max_payload_bytes() const { return (capacity_bits_ - header_bits) / 8; }
-
-    // Builds the frame's bit vector (capacity_bits entries, 0/1). Unused
-    // tail bits are deterministic pseudo-random filler keyed by the
-    // sequence number (white filler keeps the on-screen pattern balanced).
-    std::vector<std::uint8_t> build(std::uint32_t sequence,
-                                    std::span<const std::uint8_t> payload) const;
-
-    struct Parsed {
-        std::uint32_t sequence = 0;
-        std::vector<std::uint8_t> payload;
-    };
-
-    // Validates magic and CRC; nullopt for garbage.
-    std::optional<Parsed> parse(std::span<const std::uint8_t> bits) const;
-
-private:
-    int capacity_bits_;
-};
 
 // Splits a message into frame payload chunks of at most chunk_bytes.
 std::vector<std::vector<std::uint8_t>> chunk_message(std::span<const std::uint8_t> message,
@@ -58,10 +27,22 @@ std::vector<std::vector<std::uint8_t>> chunk_message(std::span<const std::uint8_
 // that slipped past GOB parity.
 class Rs_framer {
 public:
+    // capacity_bits: bits one data frame carries (payload_bits_per_frame);
+    // the RS(rs_n, rs_k) codeword fills its first rs_n * 8 bits.
     Rs_framer(int capacity_bits, int rs_n, int rs_k);
+
+    // The session sizing: the longest codeword the frame holds (at most
+    // 255 symbols), with parity_fraction of it spent on parity symbols.
+    static Rs_framer for_parity_fraction(int capacity_bits, double parity_fraction);
+
+    static constexpr std::uint16_t magic = 0x1f7a;
 
     int max_payload_bytes() const;
 
+    // Builds the frame's bit vector (capacity_bits entries, 0/1). Unused
+    // data symbols and tail bits are deterministic pseudo-random filler
+    // keyed by the sequence number (white filler keeps the on-screen
+    // pattern balanced).
     std::vector<std::uint8_t> build(std::uint32_t sequence,
                                     std::span<const std::uint8_t> payload) const;
 
@@ -71,13 +52,12 @@ public:
         int corrected_symbols = 0;
     };
 
-    std::optional<Parsed> parse(std::span<const std::uint8_t> bits) const;
-
-    // Erasure-aware parse: trusted is parallel to bits (1 = reliable).
-    // Codeword symbols containing any untrusted bit are declared erasures,
+    // Validates magic and CRC after RS decoding; nullopt for garbage.
+    // trusted, when given, is parallel to bits (1 = reliable): codeword
+    // symbols containing any untrusted bit are declared erasures,
     // doubling the correction power exactly where GOBs were lost.
     std::optional<Parsed> parse(std::span<const std::uint8_t> bits,
-                                std::span<const std::uint8_t> trusted) const;
+                                std::span<const std::uint8_t> trusted = {}) const;
 
 private:
     int capacity_bits_;

@@ -14,6 +14,30 @@
 
 namespace inframe::core {
 
+namespace {
+
+// Minimum upper-class metric for a split to count as signal: guards
+// against Otsu "finding" a split inside the noise floor when the pattern
+// has been destroyed entirely (e.g. defocused capture).
+constexpr double min_signal_level = 0.6;
+
+// Minimum separation quality d' = (m1 - m0) / pooled-sigma for the split
+// to be trusted. Classes closer than this misclassify at rates parity
+// cannot contain, so the row is reported unknown instead.
+constexpr double min_split_dprime = 3.0;
+
+// Captures whose mid-exposure phase within the tau cycle is at or beyond
+// this fraction are ignored (transition region).
+constexpr double stable_fraction = 0.5;
+
+// Occlusion mask (erasure-aware decoding only): a block whose mean
+// captured level is below max(occlusion_level_floor,
+// occlusion_level_fraction * median block level) is treated as occluded.
+constexpr double occlusion_level_fraction = 0.35;
+constexpr double occlusion_level_floor = 16.0;
+
+} // namespace
+
 void Decoder_params::validate() const
 {
     geometry.validate();
@@ -23,14 +47,6 @@ void Decoder_params::validate() const
     util::expects(display_fps > 0.0, "decoder: display rate must be positive");
     util::expects(fixed_threshold > 0.0, "decoder: threshold must be positive");
     util::expects(hysteresis >= 0.0 && hysteresis < 1.0, "decoder: hysteresis must be in [0, 1)");
-    util::expects(stable_fraction > 0.0 && stable_fraction <= 1.0,
-                  "decoder: stable fraction must be in (0, 1]");
-    util::expects(min_signal_level >= 0.0, "decoder: signal floor must be non-negative");
-    util::expects(occlusion_level_fraction >= 0.0 && occlusion_level_fraction < 1.0,
-                  "decoder: occlusion level fraction must be in [0, 1)");
-    util::expects(occlusion_level_floor >= 0.0,
-                  "decoder: occlusion level floor must be non-negative");
-    util::expects(max_frame_gap >= 1, "decoder: frame gap cap must be positive");
 }
 
 const char* to_string(Detector detector)
@@ -344,8 +360,8 @@ Inframe_decoder::split_metrics(std::span<const double> metrics) const
     // classify reliably — either way, no trustworthy chessboard
     // population among these blocks.
     result.bimodal = upper_mean >= lower_mean * 1.5 + 0.25
-                     && upper_mean >= params_.min_signal_level
-                     && dprime >= params_.min_separation_dprime;
+                     && upper_mean >= min_signal_level
+                     && dprime >= min_split_dprime;
     return result;
 }
 
@@ -368,7 +384,7 @@ std::vector<Data_frame_result> Inframe_decoder::push_capture(const img::Imagef& 
     // Cap the number of idle frames emitted for one capture: a wildly
     // future timestamp (clock glitch, fuzzed input) must not turn into
     // millions of empty results. Frames beyond the cap are skipped.
-    if (frame_index - current_frame_ > params_.max_frame_gap) {
+    if (frame_index - current_frame_ > max_frame_gap) {
         finalized.push_back(finalize());
         current_frame_ = frame_index;
     }
@@ -382,7 +398,7 @@ std::vector<Data_frame_result> Inframe_decoder::push_capture(const img::Imagef& 
                          / frame_period;
     // Strictly inside the stable window: a capture starting exactly at the
     // half-cycle boundary already integrates the transition ramp.
-    if (phase < params_.stable_fraction - 1e-9) {
+    if (phase < stable_fraction - 1e-9) {
         const auto metrics = block_metrics(capture);
         for (std::size_t i = 0; i < metrics.size(); ++i) metric_sum_[i] += metrics[i];
         if (params_.erasure_aware) {
@@ -429,7 +445,7 @@ Data_frame_result Inframe_decoder::finalize()
                          sorted_levels.end());
         const double median = sorted_levels[sorted_levels.size() / 2];
         const double cutoff =
-            std::max(params_.occlusion_level_floor, params_.occlusion_level_fraction * median);
+            std::max(occlusion_level_floor, occlusion_level_fraction * median);
         occluded.assign(block_count, 0);
         for (std::size_t i = 0; i < block_count; ++i) {
             if (levels[i] < cutoff) {

@@ -76,20 +76,6 @@ struct Decoder_params {
     // Fraction around the threshold treated as "no confident decision".
     double hysteresis = 0.2;
 
-    // Minimum upper-class metric for a split to count as signal: guards
-    // against Otsu "finding" a split inside the noise floor when the
-    // pattern has been destroyed entirely (e.g. defocused capture).
-    double min_signal_level = 0.6;
-
-    // Minimum separation quality d' = (m1 - m0) / pooled-sigma for the
-    // split to be trusted. Classes closer than this misclassify at rates
-    // parity cannot contain, so the row is reported unknown instead.
-    double min_separation_dprime = 3.0;
-
-    // Captures whose mid-exposure phase within the tau cycle is at or
-    // beyond this fraction are ignored (transition region).
-    double stable_fraction = 0.5;
-
     // Erasure-aware decoding. Blocks flagged unreliable — metric inside
     // the hysteresis band, or mean level far below the frame's median
     // (an occluder in front of the lens) — become erasures instead of
@@ -97,18 +83,6 @@ struct Decoder_params {
     // (decode_gob_parity erasure_fill). Off reproduces the paper's
     // hard-decision strawman.
     bool erasure_aware = false;
-
-    // Occlusion mask: a block whose mean captured level is below
-    // max(occlusion_level_floor, occlusion_level_fraction * median block
-    // level) is treated as occluded. Only consulted when erasure_aware.
-    double occlusion_level_fraction = 0.35;
-    double occlusion_level_floor = 16.0;
-
-    // Hard cap on the number of idle data frames finalized per capture:
-    // a capture timestamped far in the future would otherwise emit one
-    // result per skipped frame (unbounded work from one bad input). The
-    // region beyond the cap is skipped silently.
-    std::int64_t max_frame_gap = 1024;
 
     void validate() const;
 };
@@ -133,6 +107,12 @@ struct Data_frame_result {
 class Inframe_decoder {
 public:
     explicit Inframe_decoder(Decoder_params params);
+
+    // Hard cap on the number of idle data frames finalized per capture:
+    // a capture timestamped far in the future would otherwise emit one
+    // result per skipped frame (unbounded work from one bad input). The
+    // region beyond the cap is skipped silently.
+    static constexpr std::int64_t max_frame_gap = 1024;
 
     // Feeds a capture with the wall-clock time its exposure began.
     // Returns data frames finalized by this capture (zero or one, in

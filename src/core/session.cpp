@@ -4,61 +4,12 @@
 
 namespace inframe::core {
 
-Frame_codec::Frame_codec(int capacity_bits, Session_options options)
-{
-    if (!options.use_rs) {
-        crc_framer_.emplace(capacity_bits);
-        return;
-    }
-    util::expects(options.rs_parity_fraction > 0.0 && options.rs_parity_fraction < 1.0,
-                  "session: RS parity fraction must be in (0, 1)");
-    const int n = std::min(capacity_bits / 8, 255);
-    const int parity = std::max(2, static_cast<int>(n * options.rs_parity_fraction));
-    const int k = n - parity;
-    // 12 bytes of protected header; at least one payload byte must fit.
-    util::expects(k >= 13, "session: frame capacity too small for RS framing");
-    rs_framer_.emplace(capacity_bits, n, k);
-}
-
-int Frame_codec::max_payload_bytes() const
-{
-    return rs_framer_ ? rs_framer_->max_payload_bytes() : crc_framer_->max_payload_bytes();
-}
-
-std::vector<std::uint8_t> Frame_codec::build(std::uint32_t sequence,
-                                             std::span<const std::uint8_t> payload) const
-{
-    return rs_framer_ ? rs_framer_->build(sequence, payload)
-                      : crc_framer_->build(sequence, payload);
-}
-
-std::optional<Frame_codec::Parsed> Frame_codec::parse(std::span<const std::uint8_t> bits) const
-{
-    return parse(bits, {});
-}
-
-std::optional<Frame_codec::Parsed>
-Frame_codec::parse(std::span<const std::uint8_t> bits,
-                   std::span<const std::uint8_t> trusted) const
-{
-    Parsed parsed;
-    if (rs_framer_) {
-        const auto inner = rs_framer_->parse(bits, trusted);
-        if (!inner) return std::nullopt;
-        parsed.sequence = inner->sequence;
-        parsed.payload = inner->payload;
-        return parsed;
-    }
-    const auto inner = crc_framer_->parse(bits);
-    if (!inner) return std::nullopt;
-    parsed.sequence = inner->sequence;
-    parsed.payload = inner->payload;
-    return parsed;
-}
-
 Inframe_sender::Inframe_sender(Inframe_config config, std::vector<std::uint8_t> message,
                                bool loop, Session_options options)
-    : encoder_(config), codec_(config.geometry.payload_bits_per_frame(), options), loop_(loop)
+    : encoder_(config),
+      codec_(coding::Rs_framer::for_parity_fraction(config.geometry.payload_bits_per_frame(),
+                                                    options.rs_parity_fraction)),
+      loop_(loop)
 {
     chunks_ = coding::chunk_message(message, codec_.max_payload_bytes());
     refill_queue();
@@ -86,7 +37,8 @@ img::Imagef Inframe_sender::next_display_frame(const img::Imagef& video_frame)
 Inframe_receiver::Inframe_receiver(Decoder_params params, std::size_t expected_chunks,
                                    Session_options options)
     : decoder_(std::move(params)),
-      codec_(decoder_.params().geometry.payload_bits_per_frame(), options),
+      codec_(coding::Rs_framer::for_parity_fraction(
+          decoder_.params().geometry.payload_bits_per_frame(), options.rs_parity_fraction)),
       expected_chunks_(expected_chunks)
 {
     util::expects(expected_chunks >= 1, "receiver: expected chunk count must be positive");

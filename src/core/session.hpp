@@ -1,7 +1,8 @@
 // Sender/receiver sessions: the byte-stream API a downstream application
 // uses. The sender chunks a message into framed data frames (header +
-// CRC, 3.3's framing made concrete) and feeds the encoder; the receiver
-// turns decoded data frames back into ordered payload chunks.
+// CRC in an RS codeword, 3.3's framing made concrete) and feeds the
+// encoder; the receiver turns decoded data frames back into ordered
+// payload chunks.
 #pragma once
 
 #include "coding/framing.hpp"
@@ -9,47 +10,17 @@
 #include "core/encoder.hpp"
 
 #include <map>
-#include <optional>
 
 namespace inframe::core {
 
 // Frame-level protection for sessions. The paper's strawman leaves error
 // correction beyond GOB parity as future work; real message delivery
 // needs it, because one undecodable GOB corrupts the whole frame payload.
+// Every frame is wrapped in a Reed-Solomon codeword so bursts of lost GOBs
+// (rolling-shutter bands) are corrected (coding::Rs_framer).
 struct Session_options {
-    // Wrap every frame in a Reed-Solomon codeword so bursts of lost GOBs
-    // (rolling-shutter bands) are corrected. Off = bare CRC framing: a
-    // frame is accepted only if it decodes perfectly.
-    bool use_rs = true;
-
     // Fraction of the RS codeword spent on parity symbols.
     double rs_parity_fraction = 0.55;
-};
-
-// Wraps the CRC-only Payload_framer and the Rs_framer behind one
-// interface so sessions can switch protection modes.
-class Frame_codec {
-public:
-    Frame_codec(int capacity_bits, Session_options options);
-
-    int max_payload_bytes() const;
-    std::vector<std::uint8_t> build(std::uint32_t sequence,
-                                    std::span<const std::uint8_t> payload) const;
-
-    struct Parsed {
-        std::uint32_t sequence = 0;
-        std::vector<std::uint8_t> payload;
-    };
-    std::optional<Parsed> parse(std::span<const std::uint8_t> bits) const;
-
-    // Erasure-aware parse (RS mode only): trusted marks reliable bits;
-    // untrusted spans become symbol erasures for the RS decoder.
-    std::optional<Parsed> parse(std::span<const std::uint8_t> bits,
-                                std::span<const std::uint8_t> trusted) const;
-
-private:
-    std::optional<coding::Payload_framer> crc_framer_;
-    std::optional<coding::Rs_framer> rs_framer_;
 };
 
 class Inframe_sender {
@@ -66,13 +37,13 @@ public:
     std::size_t total_chunks() const { return chunks_.size(); }
 
     const Inframe_encoder& encoder() const { return encoder_; }
-    const Frame_codec& codec() const { return codec_; }
+    const coding::Rs_framer& codec() const { return codec_; }
 
 private:
     void refill_queue();
 
     Inframe_encoder encoder_;
-    Frame_codec codec_;
+    coding::Rs_framer codec_;
     std::vector<std::vector<std::uint8_t>> chunks_;
     std::uint32_t next_sequence_ = 0;
     bool loop_;
@@ -106,7 +77,7 @@ private:
     void ingest(const Data_frame_result& result);
 
     Inframe_decoder decoder_;
-    Frame_codec codec_;
+    coding::Rs_framer codec_;
     std::size_t expected_chunks_;
     std::map<std::uint32_t, std::vector<std::uint8_t>> chunks_;
     std::size_t frames_decoded_ = 0;

@@ -198,23 +198,4 @@ Imagef gaussian_blur(const Imagef& src, double sigma)
     return separable_convolve(src, gaussian_kernel(sigma));
 }
 
-Imagef laplacian_abs(const Imagef& src)
-{
-    Imagef out = Frame_pool::instance().acquire(src.width(), src.height(), src.channels());
-    util::parallel_for(0, src.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-            const int y = static_cast<int>(yy);
-            for (int x = 0; x < src.width(); ++x) {
-                for (int c = 0; c < src.channels(); ++c) {
-                    const float v = 4.0f * src(x, y, c) - src.at_clamped(x - 1, y, c)
-                                    - src.at_clamped(x + 1, y, c) - src.at_clamped(x, y - 1, c)
-                                    - src.at_clamped(x, y + 1, c);
-                    out(x, y, c) = std::fabs(v);
-                }
-            }
-        }
-    });
-    return out;
-}
-
 } // namespace inframe::img

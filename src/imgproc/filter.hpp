@@ -27,7 +27,4 @@ std::vector<float> gaussian_kernel(double sigma);
 // (clamp-to-edge). Kernel size must be odd.
 Imagef separable_convolve(const Imagef& src, std::span<const float> kernel);
 
-// 3x3 Laplacian magnitude (used by texture/noise diagnostics).
-Imagef laplacian_abs(const Imagef& src);
-
 } // namespace inframe::img

@@ -83,24 +83,6 @@ Imagef binary_elementwise(const Imagef& a, const Imagef& b, const char* what,
     return out;
 }
 
-// Same shape-checked pattern for the uint8 saturating trio.
-Image8 binary_elementwise_u8(const Image8& a, const Image8& b, const char* what,
-                             void (*kernel)(const std::uint8_t*, const std::uint8_t*,
-                                            std::uint8_t*, int))
-{
-    util::expects(a.same_shape(b), what);
-    Image8 out(a.width(), a.height(), a.channels());
-    auto dst = out.values();
-    const auto lhs = a.values();
-    const auto rhs = b.values();
-    util::parallel_for(0, static_cast<std::int64_t>(dst.size()), value_grain,
-                       [&](std::int64_t i0, std::int64_t i1) {
-                           kernel(lhs.data() + i0, rhs.data() + i0, dst.data() + i0,
-                                  static_cast<int>(i1 - i0));
-                       });
-    return out;
-}
-
 } // namespace
 
 Imagef add(const Imagef& a, const Imagef& b)
@@ -108,32 +90,9 @@ Imagef add(const Imagef& a, const Imagef& b)
     return binary_elementwise(a, b, "add: shape mismatch", simd::kernels().add_f32);
 }
 
-Imagef subtract(const Imagef& a, const Imagef& b)
-{
-    return binary_elementwise(a, b, "subtract: shape mismatch", simd::kernels().sub_f32);
-}
-
 Imagef abs_diff(const Imagef& a, const Imagef& b)
 {
     return binary_elementwise(a, b, "abs_diff: shape mismatch", simd::kernels().absdiff_f32);
-}
-
-Image8 add_saturate(const Image8& a, const Image8& b)
-{
-    return binary_elementwise_u8(a, b, "add_saturate: shape mismatch",
-                                 simd::kernels().add_sat_u8);
-}
-
-Image8 subtract_saturate(const Image8& a, const Image8& b)
-{
-    return binary_elementwise_u8(a, b, "subtract_saturate: shape mismatch",
-                                 simd::kernels().sub_sat_u8);
-}
-
-Image8 abs_diff(const Image8& a, const Image8& b)
-{
-    return binary_elementwise_u8(a, b, "abs_diff: shape mismatch",
-                                 simd::kernels().absdiff_u8);
 }
 
 Imagef affine(const Imagef& a, float scale, float offset)
@@ -159,20 +118,6 @@ void clamp(Imagef& image, float lo, float hi)
     util::parallel_for(0, static_cast<std::int64_t>(values.size()), value_grain,
                        [&](std::int64_t i0, std::int64_t i1) {
                            k.clamp_f32(values.data() + i0, static_cast<int>(i1 - i0), lo, hi);
-                       });
-}
-
-void accumulate(Imagef& a, const Imagef& b, float weight)
-{
-    util::expects(a.same_shape(b), "accumulate: shape mismatch");
-    auto dst = a.values();
-    const auto rhs = b.values();
-    util::parallel_for(0, static_cast<std::int64_t>(dst.size()), value_grain,
-                       [&](std::int64_t i0, std::int64_t i1) {
-                           for (std::int64_t i = i0; i < i1; ++i) {
-                               const auto s = static_cast<std::size_t>(i);
-                               dst[s] += rhs[s] * weight;
-                           }
                        });
 }
 
@@ -238,15 +183,6 @@ std::pair<float, float> min_max(const Imagef& image)
         hi = std::max(hi, v);
     }
     return {lo, hi};
-}
-
-Imagef normalize_to_8bit(const Imagef& image, float in_lo, float in_hi)
-{
-    util::expects(in_hi > in_lo, "normalize_to_8bit: degenerate input range");
-    const float scale = 255.0f / (in_hi - in_lo);
-    Imagef out = affine(image, scale, -in_lo * scale);
-    clamp(out, 0.0f, 255.0f);
-    return out;
 }
 
 } // namespace inframe::img

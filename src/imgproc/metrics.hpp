@@ -1,24 +1,12 @@
 // Full-reference image quality metrics. Used to verify that the decoded
 // experience matches the paper's claims: complementary pairs must average
-// back to the original (high PSNR/SSIM of the temporal mean vs. V), while
+// back to the original (high PSNR of the temporal mean vs. V), while
 // individual multiplexed frames show "obvious artifacts" (low PSNR).
 #pragma once
 
 #include "imgproc/image.hpp"
 
-#include <cstdint>
-
 namespace inframe::img {
-
-// Sum of squared differences between same-shaped uint8 images, in an
-// int64 accumulator: the worst case (every pixel differs by 255) reaches
-// count * 255^2, which overflows 32 bits from ~66k pixels up — a 256x256
-// frame already needs 4,261,478,400.
-std::int64_t residual_energy(const Image8& a, const Image8& b);
-
-// Same, over the region [x0, x0+w) x [y0, y0+h) of channel-interleaved rows.
-std::int64_t residual_energy_region(const Image8& a, const Image8& b, int x0, int y0, int w,
-                                    int h);
 
 // Mean absolute error between same-shaped images.
 double mae(const Imagef& a, const Imagef& b);
@@ -29,10 +17,5 @@ double mse(const Imagef& a, const Imagef& b);
 // Peak signal-to-noise ratio in dB for the 8-bit domain (peak = 255).
 // Returns +inf for identical images.
 double psnr(const Imagef& a, const Imagef& b);
-
-// Global SSIM (mean of the local SSIM map, 8x8 windows, standard C1/C2
-// constants for 8-bit dynamic range). Grayscale only; RGB inputs are
-// converted to luminance first.
-double ssim(const Imagef& a, const Imagef& b);
 
 } // namespace inframe::img

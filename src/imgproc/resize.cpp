@@ -17,62 +17,6 @@ namespace {
 // Rows per parallel chunk; fixed so partitioning is thread-count-invariant.
 constexpr std::int64_t row_grain = 16;
 
-// Per-output-value horizontal sampling plan for the bilinear paths: the
-// clamp/floor/fraction math of sample_bilinear precomputed once per image
-// instead of once per (pixel, row). Indices are in value units
-// (pixel * channels + c), so interleaved channels share one plan and one
-// bilinear_row call per output row.
-struct Bilinear_columns {
-    std::vector<std::int32_t> idx0;
-    std::vector<std::int32_t> idx1;
-    std::vector<float> tx;
-};
-
-// src_x_of(x) is the (unclamped) source column that output column x samples.
-template <typename Src_x>
-Bilinear_columns plan_bilinear_columns(int src_w, int channels, int out_w, Src_x src_x_of)
-{
-    const auto n = static_cast<std::size_t>(out_w) * static_cast<std::size_t>(channels);
-    Bilinear_columns plan;
-    plan.idx0.resize(n);
-    plan.idx1.resize(n);
-    plan.tx.resize(n);
-    for (int x = 0; x < out_w; ++x) {
-        const float fx = std::clamp(src_x_of(x), 0.0f, static_cast<float>(src_w - 1));
-        const int x0 = static_cast<int>(fx);
-        const int x1 = std::min(x0 + 1, src_w - 1);
-        for (int c = 0; c < channels; ++c) {
-            const auto i = static_cast<std::size_t>(x * channels + c);
-            plan.idx0[i] = x0 * channels + c;
-            plan.idx1[i] = x1 * channels + c;
-            plan.tx[i] = fx - static_cast<float>(x0);
-        }
-    }
-    return plan;
-}
-
-// Streams every output row through the bilinear_row kernel; src_y_of(y) is
-// the (unclamped) source row output row y samples. The kernel's lerp order
-// matches sample_bilinear exactly (mul/add, no FMA), so the output is
-// bit-identical to sampling each pixel with sample_bilinear.
-template <typename Src_y>
-void bilinear_rows(const Imagef& src, const Bilinear_columns& plan, Imagef& out, Src_y src_y_of)
-{
-    const auto& k = simd::kernels();
-    const int n = static_cast<int>(plan.tx.size());
-    util::parallel_for(0, out.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-            const int y = static_cast<int>(yy);
-            const float fy = std::clamp(src_y_of(y), 0.0f, static_cast<float>(src.height() - 1));
-            const int sy0 = static_cast<int>(fy);
-            const int sy1 = std::min(sy0 + 1, src.height() - 1);
-            const float ty = fy - static_cast<float>(sy0);
-            k.bilinear_row(src.row(sy0).data(), src.row(sy1).data(), plan.idx0.data(),
-                           plan.idx1.data(), plan.tx.data(), ty, out.row(y).data(), n);
-        }
-    });
-}
-
 // resize_area when both ratios are integers (kx, ky): every source pixel
 // lies wholly inside one output pixel, so the generic overlap weights are
 // all exactly 1 and each output value is a plain sum over its kx x ky tile
@@ -136,20 +80,6 @@ float sample_bilinear(const Imagef& src, float x, float y, int c)
     return top * (1.0f - ty) + bottom * ty;
 }
 
-Imagef resize_bilinear(const Imagef& src, int out_w, int out_h)
-{
-    util::expects(out_w > 0 && out_h > 0, "resize_bilinear output must be non-empty");
-    Imagef out = Frame_pool::instance().acquire(out_w, out_h, src.channels());
-    const float sx = static_cast<float>(src.width()) / static_cast<float>(out_w);
-    const float sy = static_cast<float>(src.height()) / static_cast<float>(out_h);
-    const Bilinear_columns plan =
-        plan_bilinear_columns(src.width(), src.channels(), out_w,
-                              [sx](int x) { return (static_cast<float>(x) + 0.5f) * sx - 0.5f; });
-    bilinear_rows(src, plan, out,
-                  [sy](int y) { return (static_cast<float>(y) + 0.5f) * sy - 0.5f; });
-    return out;
-}
-
 Imagef resize_area(const Imagef& src, int out_w, int out_h)
 {
     util::expects(out_w > 0 && out_h > 0, "resize_area output must be non-empty");
@@ -194,27 +124,44 @@ Imagef resize_area(const Imagef& src, int out_w, int out_h)
     return out;
 }
 
+// The clamp/floor/fraction math of sample_bilinear is planned once per
+// output column instead of once per (pixel, row). Plan indices are in value
+// units (pixel * channels + c), so interleaved channels share one plan and
+// one bilinear_row call per output row. The kernel's lerp order matches
+// sample_bilinear exactly (mul/add, no FMA), so the output is bit-identical
+// to sampling each pixel with sample_bilinear.
 Imagef translate(const Imagef& src, float dx, float dy)
 {
-    Imagef out = Frame_pool::instance().acquire(src.width(), src.height(), src.channels());
-    const Bilinear_columns plan =
-        plan_bilinear_columns(src.width(), src.channels(), src.width(),
-                              [dx](int x) { return static_cast<float>(x) - dx; });
-    bilinear_rows(src, plan, out, [dy](int y) { return static_cast<float>(y) - dy; });
-    return out;
-}
-
-Imagef upscale_nearest(const Imagef& src, int k)
-{
-    util::expects(k >= 1, "upscale_nearest factor must be >= 1");
-    Imagef out = Frame_pool::instance().acquire(src.width() * k, src.height() * k,
-                                                src.channels());
-    util::parallel_for(0, out.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
+    const int w = src.width();
+    const int h = src.height();
+    const int ch = src.channels();
+    Imagef out = Frame_pool::instance().acquire(w, h, ch);
+    const auto n = static_cast<std::size_t>(w) * static_cast<std::size_t>(ch);
+    std::vector<std::int32_t> idx0(n);
+    std::vector<std::int32_t> idx1(n);
+    std::vector<float> tx(n);
+    for (int x = 0; x < w; ++x) {
+        const float fx = std::clamp(static_cast<float>(x) - dx, 0.0f, static_cast<float>(w - 1));
+        const int x0 = static_cast<int>(fx);
+        const int x1 = std::min(x0 + 1, w - 1);
+        for (int c = 0; c < ch; ++c) {
+            const auto i = static_cast<std::size_t>(x * ch + c);
+            idx0[i] = x0 * ch + c;
+            idx1[i] = x1 * ch + c;
+            tx[i] = fx - static_cast<float>(x0);
+        }
+    }
+    const auto& k = simd::kernels();
+    util::parallel_for(0, h, row_grain, [&](std::int64_t y0, std::int64_t y1) {
         for (std::int64_t yy = y0; yy < y1; ++yy) {
             const int y = static_cast<int>(yy);
-            for (int x = 0; x < out.width(); ++x) {
-                for (int c = 0; c < src.channels(); ++c) out(x, y, c) = src(x / k, y / k, c);
-            }
+            const float fy =
+                std::clamp(static_cast<float>(y) - dy, 0.0f, static_cast<float>(h - 1));
+            const int sy0 = static_cast<int>(fy);
+            const int sy1 = std::min(sy0 + 1, h - 1);
+            const float ty = fy - static_cast<float>(sy0);
+            k.bilinear_row(src.row(sy0).data(), src.row(sy1).data(), idx0.data(), idx1.data(),
+                           tx.data(), ty, out.row(y).data(), static_cast<int>(n));
         }
     });
     return out;

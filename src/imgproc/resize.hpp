@@ -7,9 +7,6 @@
 
 namespace inframe::img {
 
-// Bilinear resize to (out_w, out_h).
-Imagef resize_bilinear(const Imagef& src, int out_w, int out_h);
-
 // Area-average (pixel-mixing) resize; correct for downscaling because every
 // source pixel contributes proportionally to its overlap.
 Imagef resize_area(const Imagef& src, int out_w, int out_h);
@@ -19,9 +16,5 @@ float sample_bilinear(const Imagef& src, float x, float y, int c = 0);
 
 // Translates the image by a (possibly fractional) offset, clamp-to-edge.
 Imagef translate(const Imagef& src, float dx, float dy);
-
-// Nearest-neighbour integer upscale by factor k (used to render super
-// Pixels and for visual dumps).
-Imagef upscale_nearest(const Imagef& src, int k);
 
 } // namespace inframe::img

@@ -10,7 +10,7 @@
 #include "core/config.hpp"      // Inframe_config, paper_config
 #include "core/encoder.hpp"     // Inframe_encoder, make_complementary_pair
 #include "core/decoder.hpp"     // Inframe_decoder, Detector
-#include "core/session.hpp"     // Inframe_sender / Inframe_receiver, Frame_codec
+#include "core/session.hpp"     // Inframe_sender / Inframe_receiver, Session_options
 #include "core/calibration.hpp" // viewing-geometry bootstrap
 #include "core/link_runner.hpp" // experiment harnesses
 #include "core/pipeline.hpp"    // stage-graph runtime (Pipeline, Stage)
@@ -24,7 +24,7 @@
 #include "coding/chessboard.hpp"
 #include "coding/parity.hpp"
 #include "coding/reed_solomon.hpp"
-#include "coding/framing.hpp"
+#include "coding/framing.hpp"    // Rs_framer: RS-protected session frames
 #include "hvs/observer.hpp"
 #include "hvs/temporal_model.hpp"
 #include "hvs/flicker.hpp"

@@ -18,11 +18,6 @@ void add_f32(const float* a, const float* b, float* out, int n)
     for (int i = 0; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void sub_f32(const float* a, const float* b, float* out, int n)
-{
-    for (int i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-
 void absdiff_f32(const float* a, const float* b, float* out, int n)
 {
     for (int i = 0; i < n; ++i) out[i] = std::fabs(a[i] - b[i]);
@@ -54,38 +49,6 @@ void quantize_u8(const float* in, std::uint8_t* out, int n)
 void widen_u8(const std::uint8_t* in, float* out, int n)
 {
     for (int i = 0; i < n; ++i) out[i] = static_cast<float>(in[i]);
-}
-
-void add_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        out[i] = static_cast<std::uint8_t>(std::min(int(a[i]) + int(b[i]), 255));
-    }
-}
-
-void sub_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        out[i] = static_cast<std::uint8_t>(std::max(int(a[i]) - int(b[i]), 0));
-    }
-}
-
-void absdiff_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        out[i] = static_cast<std::uint8_t>(d < 0 ? -d : d);
-    }
-}
-
-std::uint64_t residual_energy_u8(const std::uint8_t* a, const std::uint8_t* b, int n)
-{
-    std::uint64_t sum = 0;
-    for (int i = 0; i < n; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        sum += static_cast<std::uint64_t>(d * d);
-    }
-    return sum;
 }
 
 double row_sum_f64(const float* p, int n)

@@ -8,7 +8,6 @@
 //  - quantize_u8 clamps in float, widens to double, adds 0.5 and
 //    truncates: floor(v + 0.5) in double is exact for v in [0, 255] and
 //    equals lround's round-half-away for non-negative v;
-//  - integer kernels are exact in any order;
 //  - row_sum_f64 maps vector lanes onto the reference's fixed 8-lane
 //    accumulation shape and merges them in the same order;
 //  - the blur kernels widen with cvtps_pd / narrow with cvtpd_ps, the
@@ -49,15 +48,6 @@ void add_f32(const float* a, const float* b, float* out, int n)
         _mm_storeu_ps(out + i, _mm_add_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
     }
     for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void sub_f32(const float* a, const float* b, float* out, int n)
-{
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        _mm_storeu_ps(out + i, _mm_sub_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-    }
-    for (; i < n; ++i) out[i] = a[i] - b[i];
 }
 
 void absdiff_f32(const float* a, const float* b, float* out, int n)
@@ -137,76 +127,6 @@ void widen_u8(const std::uint8_t* in, float* out, int n)
         _mm_storeu_ps(out + i + 4, _mm_cvtepi32_ps(_mm_unpackhi_epi16(words, zero)));
     }
     for (; i < n; ++i) out[i] = static_cast<float>(in[i]);
-}
-
-void add_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), _mm_adds_epu8(va, vb));
-    }
-    for (; i < n; ++i) out[i] = static_cast<std::uint8_t>(std::min(int(a[i]) + int(b[i]), 255));
-}
-
-void sub_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), _mm_subs_epu8(va, vb));
-    }
-    for (; i < n; ++i) out[i] = static_cast<std::uint8_t>(std::max(int(a[i]) - int(b[i]), 0));
-}
-
-void absdiff_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                         _mm_or_si128(_mm_subs_epu8(va, vb), _mm_subs_epu8(vb, va)));
-    }
-    for (; i < n; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        out[i] = static_cast<std::uint8_t>(d < 0 ? -d : d);
-    }
-}
-
-std::uint64_t residual_energy_u8(const std::uint8_t* a, const std::uint8_t* b, int n)
-{
-    const __m128i zero = _mm_setzero_si128();
-    __m128i acc64 = zero;
-    int i = 0;
-    while (i + 16 <= n) {
-        // Drain the 32-bit accumulator before it can overflow: each step
-        // adds at most 2 * 255^2 = 130050 per madd lane, two madds per
-        // 16 pixels -> 2^31 / 260100 ~ 8256 steps; stay well under.
-        const int block_end = std::min(n, i + 4096 * 16);
-        __m128i acc32 = zero;
-        for (; i + 16 <= block_end; i += 16) {
-            const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-            const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-            const __m128i d = _mm_or_si128(_mm_subs_epu8(va, vb), _mm_subs_epu8(vb, va));
-            const __m128i dlo = _mm_unpacklo_epi8(d, zero);
-            const __m128i dhi = _mm_unpackhi_epi8(d, zero);
-            acc32 = _mm_add_epi32(acc32, _mm_madd_epi16(dlo, dlo));
-            acc32 = _mm_add_epi32(acc32, _mm_madd_epi16(dhi, dhi));
-        }
-        acc64 = _mm_add_epi64(acc64, _mm_unpacklo_epi32(acc32, zero));
-        acc64 = _mm_add_epi64(acc64, _mm_unpackhi_epi32(acc32, zero));
-    }
-    alignas(16) std::uint64_t parts[2];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(parts), acc64);
-    std::uint64_t sum = parts[0] + parts[1];
-    for (; i < n; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        sum += static_cast<std::uint64_t>(d * d);
-    }
-    return sum;
 }
 
 double row_sum_f64(const float* p, int n)

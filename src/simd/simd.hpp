@@ -16,8 +16,8 @@
 //                                   telemetry::config_from_args)
 //
 // Determinism contract: every vector kernel is bit-identical to the
-// scalar reference for finite inputs (integer kernels exactly; float
-// kernels because they are elementwise or replicate the reference's fixed
+// scalar reference for finite inputs (conversions exactly; float kernels
+// because they are elementwise or replicate the reference's fixed
 // accumulation shape — see kernel_list.def). Decoded payload bits are
 // therefore identical at every SIMD level, which
 // tests/core/test_parallel_determinism.cpp pins end to end and

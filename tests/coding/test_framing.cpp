@@ -18,74 +18,6 @@ std::vector<std::uint8_t> bytes_of(const std::string& s)
     return {s.begin(), s.end()};
 }
 
-TEST(Framer, RoundTrip)
-{
-    const Payload_framer framer(1125);
-    const auto payload = bytes_of("coupon: SUNRISE-20-OFF");
-    const auto bits = framer.build(7, payload);
-    ASSERT_EQ(bits.size(), 1125u);
-    const auto parsed = framer.parse(bits);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->sequence, 7u);
-    EXPECT_EQ(parsed->payload, payload);
-}
-
-TEST(Framer, CapacityAccounting)
-{
-    const Payload_framer framer(1125);
-    EXPECT_EQ(framer.max_payload_bytes(), (1125 - 96) / 8);
-    const std::vector<std::uint8_t> too_big(
-        static_cast<std::size_t>(framer.max_payload_bytes()) + 1, 0);
-    EXPECT_THROW(framer.build(0, too_big), Contract_violation);
-}
-
-TEST(Framer, EmptyPayload)
-{
-    const Payload_framer framer(500);
-    const auto bits = framer.build(3, {});
-    const auto parsed = framer.parse(bits);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_TRUE(parsed->payload.empty());
-}
-
-TEST(Framer, CorruptedHeaderRejected)
-{
-    const Payload_framer framer(1125);
-    auto bits = framer.build(1, bytes_of("payload"));
-    bits[0] ^= 1; // magic bit
-    EXPECT_FALSE(framer.parse(bits).has_value());
-}
-
-TEST(Framer, CorruptedPayloadRejectedByCrc)
-{
-    const Payload_framer framer(1125);
-    auto bits = framer.build(1, bytes_of("payload"));
-    bits[100] ^= 1; // inside payload bytes
-    EXPECT_FALSE(framer.parse(bits).has_value());
-}
-
-TEST(Framer, WrongSizeRejected)
-{
-    const Payload_framer framer(1125);
-    const std::vector<std::uint8_t> short_bits(1000, 0);
-    EXPECT_FALSE(framer.parse(short_bits).has_value());
-}
-
-TEST(Framer, FillerIsDeterministicPerSequence)
-{
-    const Payload_framer framer(1125);
-    const auto a = framer.build(9, bytes_of("x"));
-    const auto b = framer.build(9, bytes_of("x"));
-    EXPECT_EQ(a, b);
-    const auto c = framer.build(10, bytes_of("x"));
-    EXPECT_NE(a, c);
-}
-
-TEST(Framer, TooSmallCapacityRejected)
-{
-    EXPECT_THROW(Payload_framer(96), Contract_violation);
-}
-
 TEST(ChunkMessage, SplitsAndPreservesOrder)
 {
     const auto message = bytes_of("abcdefghij");
@@ -155,6 +87,64 @@ TEST(RsFramer, CapacityValidation)
     EXPECT_EQ(framer.max_payload_bytes(), 28);
     const std::vector<std::uint8_t> too_big(29, 0);
     EXPECT_THROW(framer.build(0, too_big), Contract_violation);
+}
+
+TEST(RsFramer, EmptyPayload)
+{
+    const Rs_framer framer(500, 32, 20);
+    const auto bits = framer.build(3, {});
+    ASSERT_EQ(bits.size(), 500u);
+    const auto parsed = framer.parse(bits);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->sequence, 3u);
+    EXPECT_TRUE(parsed->payload.empty());
+}
+
+TEST(RsFramer, WrongSizeRejected)
+{
+    const Rs_framer framer(1125, 64, 40);
+    const auto bits = framer.build(1, bytes_of("payload"));
+    const std::vector<std::uint8_t> short_bits(bits.begin(), bits.end() - 125);
+    EXPECT_FALSE(framer.parse(short_bits).has_value());
+    std::vector<std::uint8_t> long_bits = bits;
+    long_bits.push_back(0);
+    EXPECT_FALSE(framer.parse(long_bits).has_value());
+}
+
+TEST(RsFramer, FillerIsDeterministicPerSequence)
+{
+    const Rs_framer framer(1125, 64, 40);
+    const auto a = framer.build(9, bytes_of("x"));
+    const auto b = framer.build(9, bytes_of("x"));
+    EXPECT_EQ(a, b);
+    const auto c = framer.build(10, bytes_of("x"));
+    EXPECT_NE(a, c);
+}
+
+TEST(RsFramer, CapacityAccounting)
+{
+    // 1125 bits hold 140 symbols; 55% parity is 77 of them -> RS(140, 63).
+    const auto framer = Rs_framer::for_parity_fraction(1125, 0.55);
+    EXPECT_EQ(framer.max_payload_bytes(), 63 - 12);
+    // Frames longer than 255 bytes still use one 255-symbol codeword.
+    EXPECT_EQ(Rs_framer::for_parity_fraction(4000, 0.5).max_payload_bytes(), 255 - 127 - 12);
+    // A 2-symbol parity floor applies however small the fraction.
+    EXPECT_EQ(Rs_framer::for_parity_fraction(1125, 0.001).max_payload_bytes(), 140 - 2 - 12);
+    const auto bits = framer.build(4, bytes_of("sized"));
+    ASSERT_EQ(bits.size(), 1125u);
+    const auto parsed = framer.parse(bits);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->payload, bytes_of("sized"));
+}
+
+TEST(RsFramer, TooSmallCapacityRejected)
+{
+    // 13 data symbols are the floor: the 12-byte header plus one payload
+    // byte. 192 bits -> RS(24, 12); 200 bits -> RS(25, 13).
+    EXPECT_THROW(Rs_framer::for_parity_fraction(192, 0.5), Contract_violation);
+    EXPECT_EQ(Rs_framer::for_parity_fraction(200, 0.5).max_payload_bytes(), 1);
+    EXPECT_THROW(Rs_framer::for_parity_fraction(1125, 0.0), Contract_violation);
+    EXPECT_THROW(Rs_framer::for_parity_fraction(1125, 1.0), Contract_violation);
 }
 
 } // namespace

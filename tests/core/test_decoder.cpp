@@ -297,9 +297,6 @@ TEST(Decoder, ParamsValidation)
     params.hysteresis = 1.5;
     EXPECT_THROW(Inframe_decoder{params}, Contract_violation);
     params = small_decoder(small_config());
-    params.stable_fraction = 0.0;
-    EXPECT_THROW(Inframe_decoder{params}, Contract_violation);
-    params = small_decoder(small_config());
     params.capture_width = 0;
     EXPECT_THROW(Inframe_decoder{params}, Contract_violation);
 }

@@ -152,7 +152,7 @@ TEST(DecoderFuzz, HostileTimestampsAreCappedNotAmplified)
          {1.0e12, 1.0e300, std::numeric_limits<double>::max()}) {
         const auto results = decoder.push_capture(capture, hostile);
         EXPECT_LE(results.size(),
-                  static_cast<std::size_t>(params.max_frame_gap) + 1)
+                  static_cast<std::size_t>(Inframe_decoder::max_frame_gap) + 1)
             << "timestamp " << hostile;
     }
 

@@ -163,7 +163,8 @@ TEST(Perspective, MiscalibratedHomographyFailsSafe)
     // reject every such frame rather than deliver shifted garbage.
     const auto config = test_config();
     Inframe_encoder encoder(config);
-    const Frame_codec codec(config.geometry.payload_bits_per_frame(), Session_options{});
+    const auto codec = coding::Rs_framer::for_parity_fraction(
+        config.geometry.payload_bits_per_frame(), Session_options{}.rs_parity_fraction);
     Prng prng(3);
     std::vector<std::uint8_t> payload(static_cast<std::size_t>(codec.max_payload_bytes()));
     prng.fill_bytes(payload);

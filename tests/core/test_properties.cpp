@@ -22,6 +22,7 @@ namespace {
 
 using namespace inframe::core;
 using inframe::coding::Block_decision;
+using inframe::coding::Rs_framer;
 using inframe::img::Imagef;
 using inframe::util::Prng;
 
@@ -162,22 +163,23 @@ TEST_P(GobAccounting, IdentitiesHoldForRandomDecisionPatterns)
 INSTANTIATE_TEST_SUITE_P(RandomPatterns, GobAccounting, ::testing::Range(1, 9));
 
 // ---------------------------------------------------------------------
-// Invariant 4: Frame_codec round-trips any payload size it admits, in
-// both protection modes.
+// Invariant 4: the session framer round-trips any payload size it admits.
 // ---------------------------------------------------------------------
 
-using Codec_params = std::tuple<bool, int>; // use_rs, payload size
+// Capacity 1125 bits at the session's default parity fraction: RS(140, 63).
+Rs_framer session_framer()
+{
+    return Rs_framer::for_parity_fraction(1125, Session_options{}.rs_parity_fraction);
+}
 
-class CodecRoundtrip : public ::testing::TestWithParam<Codec_params> {};
+class CodecRoundtrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(CodecRoundtrip, BuildParseIdentity)
 {
-    const auto [use_rs, payload_bytes] = GetParam();
-    Session_options options;
-    options.use_rs = use_rs;
-    const Frame_codec codec(1125, options);
+    const int payload_bytes = GetParam();
+    const auto codec = session_framer();
     ASSERT_LE(payload_bytes, codec.max_payload_bytes());
-    Prng prng(static_cast<std::uint64_t>(payload_bytes) + (use_rs ? 1000 : 0));
+    Prng prng(static_cast<std::uint64_t>(payload_bytes) + 1000);
     std::vector<std::uint8_t> payload(static_cast<std::size_t>(payload_bytes));
     prng.fill_bytes(payload);
     const auto bits = codec.build(42, payload);
@@ -188,9 +190,7 @@ TEST_P(CodecRoundtrip, BuildParseIdentity)
     EXPECT_EQ(parsed->payload, payload);
 }
 
-INSTANTIATE_TEST_SUITE_P(ModesAndSizes, CodecRoundtrip,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Values(0, 1, 17, 28)));
+INSTANTIATE_TEST_SUITE_P(Sizes, CodecRoundtrip, ::testing::Values(0, 1, 17, 28));
 
 // ---------------------------------------------------------------------
 // Invariant 5: erasure-aware parsing recovers frames whose untrusted
@@ -202,7 +202,7 @@ class ErasureRecovery : public ::testing::TestWithParam<int> {};
 TEST_P(ErasureRecovery, GarbageInUntrustedBitsIsCorrected)
 {
     const int lost_gobs = GetParam();
-    const Frame_codec codec(1125, Session_options{});
+    const auto codec = session_framer();
     Prng prng(static_cast<std::uint64_t>(lost_gobs) * 31);
     std::vector<std::uint8_t> payload(16);
     prng.fill_bytes(payload);
@@ -289,13 +289,11 @@ TEST(RandomizedRoundtrip, GobParityIdentityOverFiveHundredSeeds)
 
 TEST(RandomizedRoundtrip, RsFramingSurvivesBoundedErrorsAndErasures)
 {
-    // Frame_codec in RS mode (capacity 1125 bits -> RS(140, 63), error
-    // budget n - k = 77 symbols). Each flipped bit corrupts at most one
-    // symbol and each 24-bit untrusted run at most 4, so the injected
-    // pattern below stays well inside 2e + s <= n - k for every draw.
-    Session_options options;
-    options.use_rs = true;
-    const Frame_codec codec(1125, options);
+    // The session framer (capacity 1125 bits -> RS(140, 63), error budget
+    // n - k = 77 symbols). Each flipped bit corrupts at most one symbol
+    // and each 24-bit untrusted run at most 4, so the injected pattern
+    // below stays well inside 2e + s <= n - k for every draw.
+    const auto codec = session_framer();
     for (std::uint64_t seed = 1; seed <= 500; ++seed) {
         Prng prng(seed * 0xd1b5'4a32'd192'ed03ULL);
         std::vector<std::uint8_t> payload(prng.next_below(

@@ -111,7 +111,8 @@ TEST(Session, MakeDecoderParamsCopiesLinkSettings)
 TEST(Session, SenderReportsChunkCount)
 {
     const auto config = small_config();
-    const Frame_codec framer(config.geometry.payload_bits_per_frame(), Session_options{});
+    const auto framer = inframe::coding::Rs_framer::for_parity_fraction(
+        config.geometry.payload_bits_per_frame(), Session_options{}.rs_parity_fraction);
     const auto message = bytes_of(std::string(
         static_cast<std::size_t>(framer.max_payload_bytes()) * 2 + 1, 'a'));
     Inframe_sender sender(config, message);

@@ -1,5 +1,5 @@
 // Parity pins for the row-kernel fast paths of the camera optics chain
-// (resize_area tiles, the bilinear plan behind translate/resize_bilinear,
+// (resize_area tiles, the bilinear plan behind translate,
 // clamp-free separable_convolve). Each is compared bit for bit against the
 // generic per-pixel formulation written out here, at every SIMD level the
 // host supports and at 1 and 4 kernel threads.
@@ -97,23 +97,6 @@ Imagef reference_translate(const Imagef& src, float dx, float dy)
             for (int c = 0; c < src.channels(); ++c) {
                 out(x, y, c) = sample_bilinear(src, static_cast<float>(x) - dx,
                                                static_cast<float>(y) - dy, c);
-            }
-        }
-    }
-    return out;
-}
-
-Imagef reference_resize_bilinear(const Imagef& src, int out_w, int out_h)
-{
-    Imagef out(out_w, out_h, src.channels());
-    const float sx = static_cast<float>(src.width()) / static_cast<float>(out_w);
-    const float sy = static_cast<float>(src.height()) / static_cast<float>(out_h);
-    for (int y = 0; y < out_h; ++y) {
-        const float src_y = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-        for (int x = 0; x < out_w; ++x) {
-            const float src_x = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
-            for (int c = 0; c < src.channels(); ++c) {
-                out(x, y, c) = sample_bilinear(src, src_x, src_y, c);
             }
         }
     }
@@ -220,23 +203,6 @@ TEST_P(OpticsFastPath, TranslateMatchesSampleBilinear)
                     expect_bits_equal(translate(src, shift[0], shift[1]),
                                       reference_translate(src, shift[0], shift[1]), label);
                 }
-            }
-        }
-    });
-}
-
-TEST_P(OpticsFastPath, ResizeBilinearMatchesSampleBilinear)
-{
-    at_thread_counts([&](const std::string& threads) {
-        for (const int channels : {1, 3}) {
-            const Imagef src = random_image(41, 29, channels, 13);
-            for (const auto& out : {std::array<int, 2>{41, 29}, std::array<int, 2>{17, 11},
-                                    std::array<int, 2>{90, 7}}) {
-                const std::string label = threads + ", channels " + std::to_string(channels)
-                                          + ", out " + std::to_string(out[0]) + "x"
-                                          + std::to_string(out[1]);
-                expect_bits_equal(resize_bilinear(src, out[0], out[1]),
-                                  reference_resize_bilinear(src, out[0], out[1]), label);
             }
         }
     });

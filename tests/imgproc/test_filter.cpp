@@ -153,20 +153,4 @@ TEST(SeparableConvolve, IdentityKernel)
     }
 }
 
-TEST(LaplacianAbs, FlatRegionsAreZero)
-{
-    const Imagef a(8, 8, 1, 33.0f);
-    const Imagef out = laplacian_abs(a);
-    for (const float v : out.values()) EXPECT_NEAR(v, 0.0f, 1e-4f);
-}
-
-TEST(LaplacianAbs, RespondsToEdges)
-{
-    Imagef a(8, 8, 1, 0.0f);
-    fill_rect(a, 4, 0, 4, 8, 100.0f);
-    const Imagef out = laplacian_abs(a);
-    EXPECT_GT(out(4, 4), 50.0f);
-    EXPECT_NEAR(out(1, 4), 0.0f, 1e-4f);
-}
-
 } // namespace

@@ -1,8 +1,6 @@
 #include "imgproc/resize.hpp"
 
-#include "imgproc/draw.hpp"
 #include "imgproc/image_ops.hpp"
-#include "util/contract.hpp"
 #include "util/prng.hpp"
 
 #include <gtest/gtest.h>
@@ -10,39 +8,7 @@
 namespace {
 
 using namespace inframe::img;
-using inframe::util::Contract_violation;
 using inframe::util::Prng;
-
-TEST(ResizeBilinear, IdentitySize)
-{
-    Prng prng(5);
-    Imagef a(7, 5);
-    for (auto& v : a.values()) v = static_cast<float>(prng.next_double(0, 255));
-    const Imagef out = resize_bilinear(a, 7, 5);
-    for (std::size_t i = 0; i < a.values().size(); ++i) {
-        EXPECT_NEAR(out.values()[i], a.values()[i], 1e-3f);
-    }
-}
-
-TEST(ResizeBilinear, ConstantStaysConstant)
-{
-    const Imagef a(16, 16, 1, 88.0f);
-    const Imagef out = resize_bilinear(a, 9, 23);
-    for (const float v : out.values()) EXPECT_NEAR(v, 88.0f, 1e-3f);
-}
-
-TEST(ResizeBilinear, GradientStaysMonotonic)
-{
-    const Imagef ramp = horizontal_gradient(64, 4, 0.0f, 255.0f);
-    const Imagef out = resize_bilinear(ramp, 31, 4);
-    for (int x = 1; x < out.width(); ++x) EXPECT_GE(out(x, 1), out(x - 1, 1));
-}
-
-TEST(ResizeBilinear, RejectsEmptyOutput)
-{
-    const Imagef a(4, 4);
-    EXPECT_THROW(resize_bilinear(a, 0, 4), Contract_violation);
-}
 
 TEST(ResizeArea, DownscalePreservesMean)
 {
@@ -115,21 +81,6 @@ TEST(Translate, SubPixelShiftSplitsEnergy)
     const Imagef out = translate(a, 0.5f, 0.0f);
     EXPECT_NEAR(out(1, 0), 50.0f, 1e-3f);
     EXPECT_NEAR(out(2, 0), 50.0f, 1e-3f);
-}
-
-TEST(UpscaleNearest, ReplicatesPixels)
-{
-    Imagef a(2, 1);
-    a(0, 0) = 3.0f;
-    a(1, 0) = 8.0f;
-    const Imagef out = upscale_nearest(a, 3);
-    EXPECT_EQ(out.width(), 6);
-    EXPECT_EQ(out.height(), 3);
-    EXPECT_EQ(out(0, 0), 3.0f);
-    EXPECT_EQ(out(2, 2), 3.0f);
-    EXPECT_EQ(out(3, 0), 8.0f);
-    EXPECT_EQ(out(5, 2), 8.0f);
-    EXPECT_THROW(upscale_nearest(a, 0), Contract_violation);
 }
 
 } // namespace
